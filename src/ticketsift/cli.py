@@ -29,6 +29,7 @@ from .datasets import (
     load_cifar_binary,
     load_class_mapping,
     load_idx,
+    pixel_coords,
     rotate_images,
     save_cifar_binary,
     save_idx,
@@ -321,16 +322,6 @@ def _analysis_dir(run_dir: Path) -> Path:
     return out
 
 
-def _scaled_count_image(values: np.ndarray, geom: ImageGeometry, path) -> None:
-    planes = values.reshape(geom.channels, geom.height, geom.width).astype(np.float64)
-    peak = planes.max()
-    if peak <= 0:
-        bytes_ = np.zeros(planes.shape, dtype=np.uint8)
-    else:
-        bytes_ = np.floor(planes * (255.0 / peak) + 0.5).astype(np.uint8)
-    reports._write_netpbm(path, bytes_)
-
-
 def cmd_analyze(args) -> int:
     run_dir = Path(args.run_dir)
     manifest, entry = _load_iteration(run_dir, args.iteration)
@@ -385,16 +376,11 @@ def cmd_analyze(args) -> int:
     if obs == "pixmap":
         values = masks.masks[0].sum(axis=1, dtype=np.int64)
         base = out_dir / f"{stem}_pixmap"
-        xs, ys, cs = [], [], []
-        lines = ["x,y,c,count"]
-        plane = geom.height * geom.width
-        for i, v in enumerate(values):
-            c, rem = divmod(i, plane)
-            y, x = divmod(rem, geom.width)
-            lines.append(f"{x},{y},{c},{int(v)}")
+        rows = zip(*(a.tolist() for a in pixel_coords(np.arange(values.size), geom)), values.tolist())
+        lines = ["x,y,c,count"] + [f"{x},{y},{c},{v}" for x, y, c, v in rows]
         Path(f"{base}.csv").write_text("\n".join(lines) + "\n")
         ext = "ppm" if geom.channels == 3 else "pgm"
-        _scaled_count_image(values, geom, f"{base}.{ext}")
+        reports.export_count_image(values, geom, f"{base}.{ext}")
         print(f"wrote {base}.csv")
         return 0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import ImageGeometry
+from .datasets import ImageGeometry, pixel_coords
 from .network import MaskSet, ParamSet, ablate_nodes, accuracy, forward
 
 
@@ -69,6 +69,86 @@ class LocalityMap:
     height: int
 
 
+def _check_mask(mask_matrix, geom: ImageGeometry, channel_mode: str) -> np.ndarray:
+    """Validate locality arguments; returns the mask as a boolean matrix."""
+    if channel_mode not in ("same", "different"):
+        raise ValueError(f"channel_mode must be 'same' or 'different', got {channel_mode!r}")
+    mask_matrix = np.asarray(mask_matrix)
+    if mask_matrix.ndim != 2 or mask_matrix.shape[0] != geom.input_size:
+        raise ValueError(f"mask matrix must be ({geom.input_size}, n_nodes)")
+    return mask_matrix != 0
+
+
+# Complex cells (16 bytes each) in one chunk of node spectra: the transform
+# path's working memory stays a small multiple of 16 MiB whatever the node
+# count.
+_FFT_CHUNK_CELLS = 1 << 20
+
+
+def _locality_grids(
+    mask_matrix: np.ndarray, geom: ImageGeometry, channel_mode: str, bin_of_node: np.ndarray, n_bins: int
+) -> np.ndarray:
+    """Exact displacement grids, shape (n_bins, 2H-1, 2W-1): node j adds its
+    ordered pairs to grid bin_of_node[j]; nodes with bin -1 add nothing.
+
+    mask_matrix is a validated boolean (input_size, n_nodes) matrix. Each
+    node's surviving count picks one of two exact paths; see locality_map.
+    """
+    w, h, c = geom.width, geom.height, geom.channels
+    gw, gh = 2 * w - 1, 2 * h - 1
+    cells = gh * gw
+    k = np.count_nonzero(mask_matrix, axis=0)
+    active = (bin_of_node >= 0) & (k >= 2)
+    dense = active & (k * k > c * (2 * h) * (2 * w))
+    grids = np.zeros((n_bins, gh, gw), dtype=np.int64)
+
+    # Pair path. dy * gw + dx is the difference of y * gw + x, so one outer
+    # difference gives every pair's flat cell; bin b's grid starts at b * cells.
+    x, y, ch = pixel_coords(np.arange(geom.input_size), geom)
+    pos = y * gw + x
+    center = (h - 1) * gw + (w - 1)
+    offsets = []
+    for j in np.flatnonzero(active & ~dense):
+        idx = np.flatnonzero(mask_matrix[:, j])
+        same_c = ch[idx][None, :] == ch[idx][:, None]
+        off = pos[idx][None, :] - pos[idx][:, None] + (center + int(bin_of_node[j]) * cells)
+        offsets.append(off[same_c] if channel_mode == "same" else off[~same_c])
+    if offsets:
+        grids += np.bincount(np.concatenate(offsets), minlength=n_bins * cells).reshape(grids.shape)
+
+    # Transform path: a node's same-channel grid is the autocorrelation of its
+    # surviving-input image, zero-padded to (2H, 2W) so that no displacement
+    # wraps around.
+    nodes = np.flatnonzero(dense)
+    if nodes.size:
+        spectra = np.zeros((n_bins, 2 * h, w + 1))
+        chunk = max(1, _FFT_CHUNK_CELLS // (c * 2 * h * (w + 1)))
+        for start in range(0, nodes.size, chunk):
+            part = nodes[start : start + chunk]
+            images = np.ascontiguousarray(mask_matrix[:, part].T, dtype=np.float64)
+            f = np.fft.fft(np.fft.rfft(images.reshape(part.size, c, h, w), n=2 * w), n=2 * h, axis=-2)
+            power = (f.real ** 2 + f.imag ** 2).sum(axis=1)
+            if channel_mode == "different":
+                total = f.sum(axis=1)
+                power = total.real ** 2 + total.imag ** 2 - power
+            for b in np.unique(bin_of_node[part]):
+                spectra[b] += power[bin_of_node[part] == b].sum(axis=0)
+        corr = np.fft.irfft2(spectra, s=(2 * h, 2 * w))
+        corr = np.roll(corr, (h - 1, w - 1), axis=(1, 2))[:, :gh, :gw]
+        counts = np.rint(corr)
+        residual = float(np.abs(corr - counts).max())
+        if residual > 0.25:
+            raise RuntimeError(f"transform locality grid is {residual} away from integer counts")
+        grids += counts.astype(np.int64)
+
+    if channel_mode == "same":
+        # both paths also paired every surviving input with itself at d = 0
+        grids[:, h - 1, w - 1] -= np.bincount(
+            bin_of_node[active], weights=k[active], minlength=n_bins
+        ).astype(np.int64)
+    return grids
+
+
 def locality_map(mask_matrix: np.ndarray, geom: ImageGeometry, channel_mode: str) -> LocalityMap:
     """Count, per displacement d = (x'-x, y'-y), ordered pairs of distinct
     surviving inputs that feed the same node.
@@ -76,35 +156,23 @@ def locality_map(mask_matrix: np.ndarray, geom: ImageGeometry, channel_mode: str
     mask_matrix is any binary (input_size, n_nodes) matrix: the first hidden
     layer's mask or an effective deep-layer mask. Mode "same" pairs inputs of
     the same channel (d = 0 is impossible there); mode "different" pairs
-    inputs of different channels and allows d = 0. Cost is quadratic in the
-    per-node surviving count.
+    inputs of different channels and allows d = 0.
+
+    A node with k surviving inputs takes one of two exact paths. When k^2
+    exceeds C*(2H)*(2W), the size of its zero-padded transform, its grid is
+    the autocorrelation of its surviving-input image, summed over nodes in
+    the Fourier domain and inverted once: |sum_c F_c|^2 - sum_c |F_c|^2 for
+    mode "different". The counts are integers of at most n_nodes*(C*H*W)^2,
+    far inside float64's exact range; the inverse transform's rounding error
+    is orders of magnitude below 0.5, so np.rint recovers them exactly, and
+    a residual above 0.25 raises. Otherwise the node's k^2 pair
+    displacements are enumerated and counted by one bincount over all such
+    nodes.
     """
-    if channel_mode not in ("same", "different"):
-        raise ValueError(f"channel_mode must be 'same' or 'different', got {channel_mode!r}")
-    mask_matrix = np.asarray(mask_matrix)
-    if mask_matrix.ndim != 2 or mask_matrix.shape[0] != geom.input_size:
-        raise ValueError(f"mask matrix must be ({geom.input_size}, n_nodes)")
-    w, h = geom.width, geom.height
-    gw, gh = 2 * w - 1, 2 * h - 1
-    plane = w * h
-    flat = np.zeros(gh * gw, dtype=np.int64)
-    for j in range(mask_matrix.shape[1]):
-        idx = np.flatnonzero(mask_matrix[:, j])
-        if idx.size < 2:
-            continue
-        c, rem = np.divmod(idx.astype(np.int64), plane)
-        y, x = np.divmod(rem, w)
-        dx = x[None, :] - x[:, None]
-        dy = y[None, :] - y[:, None]
-        same_c = c[None, :] == c[:, None]
-        if channel_mode == "same":
-            pick = same_c.copy()
-            np.fill_diagonal(pick, False)
-        else:
-            pick = ~same_c
-        offsets = (dy[pick] + h - 1) * gw + (dx[pick] + w - 1)
-        flat += np.bincount(offsets, minlength=gh * gw)
-    return LocalityMap(flat.reshape(gh, gw), channel_mode, w, h)
+    mask_matrix = _check_mask(mask_matrix, geom, channel_mode)
+    bins = np.zeros(mask_matrix.shape[1], dtype=np.int64)
+    grid = _locality_grids(mask_matrix, geom, channel_mode, bins, 1)[0]
+    return LocalityMap(grid, channel_mode, geom.width, geom.height)
 
 
 def locality_map_binned(
@@ -119,14 +187,11 @@ def locality_map_binned(
     edges = [int(e) for e in bin_edges]
     if not edges or any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError("bin_edges must be non-empty and strictly ascending")
-    mask_matrix = np.asarray(mask_matrix)
-    counts = mask_matrix.sum(axis=0, dtype=np.int64)
-    maps = []
-    for i, lo in enumerate(edges):
-        hi = edges[i + 1] if i + 1 < len(edges) else None
-        pick = counts >= lo if hi is None else (counts >= lo) & (counts < hi)
-        maps.append(locality_map(mask_matrix[:, pick], geom, channel_mode))
-    return maps
+    mask_matrix = _check_mask(mask_matrix, geom, channel_mode)
+    counts = np.count_nonzero(mask_matrix, axis=0)
+    bins = np.searchsorted(edges, counts, side="right") - 1
+    grids = _locality_grids(mask_matrix, geom, channel_mode, bins, len(edges))
+    return [LocalityMap(g, channel_mode, geom.width, geom.height) for g in grids]
 
 
 def effective_masks(mask_chain) -> np.ndarray:
@@ -135,15 +200,19 @@ def effective_masks(mask_chain) -> np.ndarray:
     Entry (i, j) is 1 iff some chain of surviving weights connects input i to
     node j through the given consecutive masks (boolean matrix product).
     Returns a uint8 (input_size, n_nodes) matrix.
+
+    The products run in float32 through BLAS. The path counts are exact
+    while below 2^24, and in any case every term is 0 or 1, so a float sum
+    is 0 exactly when no path exists.
     """
     if not mask_chain:
         raise ValueError("need at least one mask")
-    acc = np.ascontiguousarray(mask_chain[0], dtype=np.int64)
+    acc = np.asarray(mask_chain[0], dtype=np.float32)
     for m in mask_chain[1:]:
         m = np.asarray(m)
         if m.shape[0] != acc.shape[1]:
             raise ValueError(f"mask shapes do not chain: {acc.shape} then {m.shape}")
-        acc = (acc @ m.astype(np.int64) > 0).astype(np.int64)
+        acc = (acc @ m.astype(np.float32) > 0).astype(np.float32)
     return (acc > 0).astype(np.uint8)
 
 

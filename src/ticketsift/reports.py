@@ -9,6 +9,7 @@ surviving-weight count that is verified against the payload popcount on load.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from pathlib import Path
@@ -195,10 +196,9 @@ def export_locality_csv(lmap, path) -> None:
     grid = lmap.grid if hasattr(lmap, "grid") else np.asarray(lmap)
     gh, gw = grid.shape
     half_h, half_w = (gh - 1) // 2, (gw - 1) // 2
+    cells = itertools.product(range(-half_h, gh - half_h), range(-half_w, gw - half_w))
     lines = ["dx,dy,count"]
-    for iy in range(gh):
-        for ix in range(gw):
-            lines.append(f"{ix - half_w},{iy - half_h},{int(grid[iy, ix])}")
+    lines += [f"{dx},{dy},{v}" for (dy, dx), v in zip(cells, grid.astype(np.int64).ravel().tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -221,15 +221,26 @@ def load_locality_csv(path) -> np.ndarray:
     return grid
 
 
+def _write_scaled_counts(path, planes: np.ndarray) -> None:
+    """Netpbm of non-negative counts scaled 0 -> 0, max -> 255, halves up."""
+    peak = planes.max()
+    if peak <= 0:
+        byte_planes = np.zeros(planes.shape, dtype=np.uint8)
+    else:
+        byte_planes = np.floor(planes * (255.0 / peak) + 0.5).astype(np.uint8)
+    _write_netpbm(path, byte_planes)
+
+
+def export_count_image(values, geom, path) -> None:
+    """Netpbm of one count per input (P6 for RGB geometry, else P5), scaled
+    0 -> 0, max -> 255."""
+    _write_scaled_counts(path, _image_planes(values, geom))
+
+
 def export_locality_image(lmap, path) -> None:
     """P5 grayscale of the displacement grid, scaled 0 -> 0, max -> 255."""
     grid = lmap.grid if hasattr(lmap, "grid") else np.asarray(lmap)
-    peak = int(grid.max())
-    if peak == 0:
-        bytes_ = np.zeros(grid.shape, dtype=np.uint8)
-    else:
-        bytes_ = np.floor(grid * (255.0 / peak) + 0.5).astype(np.uint8)
-    _write_netpbm(path, bytes_[None, :, :])
+    _write_scaled_counts(path, grid[None, :, :])
 
 
 def export_train_curve_csv(records, path) -> None:

@@ -137,6 +137,36 @@ class TestLocalityMap:
                 assert same[dy + h - 1, dx + w - 1] == want_same
                 assert diff[dy + h - 1, dx + w - 1] == c * (c - 1) * cell
 
+    def test_dense_many_nodes_closed_form(self):
+        # every node takes the transform path; counts reach 256 * 3 * 32 * 32
+        geom = ImageGeometry(32, 32, 3)
+        w, h, c, n = geom.width, geom.height, geom.channels, 256
+        mat = np.ones((geom.input_size, n), dtype=np.uint8)
+        cell = np.outer(h - np.abs(np.arange(1 - h, h)), w - np.abs(np.arange(1 - w, w)))
+        want_same = n * c * cell
+        want_same[h - 1, w - 1] = 0
+        assert np.array_equal(locality_map(mat, geom, "same").grid, want_same)
+        assert np.array_equal(locality_map(mat, geom, "different").grid, n * c * (c - 1) * cell)
+
+    def test_nodes_on_both_sides_of_the_path_split(self, rng):
+        for geom in (ImageGeometry(8, 8, 1), ImageGeometry(6, 5, 3)):
+            n_nodes = 24
+            counts = np.linspace(0, geom.input_size, n_nodes).astype(int)
+            mat = np.zeros((geom.input_size, n_nodes), dtype=np.uint8)
+            for j, k in enumerate(counts):
+                mat[rng.choice(geom.input_size, k, replace=False), j] = 1
+            split = geom.channels * (2 * geom.height) * (2 * geom.width)
+            assert (counts ** 2 > split).any() and ((counts >= 2) & (counts ** 2 <= split)).any()
+            edges = [1, 8, int(split ** 0.5) + 1, geom.input_size - 4]
+            for mode in ("same", "different"):
+                whole = locality_map(mat, geom, mode).grid
+                assert np.array_equal(whole, oracles.brute_force_locality(mat, geom, mode))
+                maps = locality_map_binned(mat, geom, mode, edges)
+                for lmap, lo, hi in zip(maps, edges, edges[1:] + [geom.input_size + 1]):
+                    pick = (counts >= lo) & (counts < hi)
+                    assert np.array_equal(lmap.grid, oracles.brute_force_locality(mat[:, pick], geom, mode))
+                assert np.array_equal(sum(m.grid for m in maps), whole)
+
     def test_invalid_arguments(self):
         geom = ImageGeometry(3, 3, 1)
         with pytest.raises(ValueError):
@@ -205,6 +235,18 @@ class TestEffectiveMasks:
                 (rng.random((a, b)) < 0.5).astype(np.uint8) for a, b in zip(sizes, sizes[1:])
             ]
             assert np.array_equal(effective_masks(chain), oracles.brute_force_effective(chain))
+
+    def test_desk_dims_match_float64_product(self, rng):
+        for sizes, keep in (([1024, 128, 128, 128], 0.05), ([1024, 384, 128], 0.9)):
+            chain = [(rng.random((a, b)) < keep).astype(np.uint8) for a, b in zip(sizes, sizes[1:])]
+            reach = chain[0] != 0
+            for m in chain[1:]:
+                paths = reach.astype(np.float64) @ m.astype(np.float64)
+                reach = paths > 0
+            assert np.array_equal(effective_masks(chain), reach.astype(np.uint8))
+        assert paths.max() > 255  # the wide 1024x384x128 chain
+        # exactly 256 paths per entry: zero in any 8-bit count
+        assert effective_masks([np.ones((2, 256), np.uint8), np.ones((256, 3), np.uint8)]).all()
 
     def test_invalid_chains(self):
         with pytest.raises(ValueError):
