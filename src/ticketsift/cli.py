@@ -239,11 +239,13 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
+    run_dir = Path(cfg["output"]["run_dir"])
+    if (run_dir / "manifest.json").is_file():
+        raise ValueError(f"{run_dir} already holds a run; train writes only to a new directory")
     train_ds, val_ds = build_dataset(cfg)
     _check_dims_fit(cfg, train_ds)
     dims = cfg["network"]["dims"]
     train_cfg = _train_config(cfg)
-    run_dir = Path(cfg["output"]["run_dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
     params = init_params(dims, init_seed(train_cfg.seed))
     masks = MaskSet.full(dims)
@@ -524,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="dense training run")
+    p = sub.add_parser("train", help="dense training run into a new directory")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -136,7 +136,7 @@ class ForwardCache:
     bn_out: list
 
 
-def _check_net(params: ParamSet, masks: MaskSet) -> None:
+def _check_net(params: ParamSet, masks: MaskSet, batch: np.ndarray) -> None:
     if len(masks.masks) != len(params.weights) - 1:
         raise ValueError(
             f"need one mask per hidden weight matrix: "
@@ -145,6 +145,23 @@ def _check_net(params: ParamSet, masks: MaskSet) -> None:
     for m, w in zip(masks.masks, params.weights):
         if m.shape != w.shape:
             raise ValueError(f"mask shape {m.shape} != weight shape {w.shape}")
+    if batch.ndim != 2 or batch.shape[1] != params.dims[0]:
+        raise ValueError(f"batch must be (N, {params.dims[0]}), got {batch.shape}")
+
+
+def _hidden_layer(params: ParamSet, l: int, z: np.ndarray, mode: str):
+    """Batch norm -> ReLU of hidden layer l + 1 from its pre-activation z;
+    returns (x_hat, inv_std, bn_out, activation)."""
+    if mode == "train":
+        mean, var = z.mean(axis=0), z.var(axis=0)
+        params.running_mean[l][...] = BN_MOMENTUM * params.running_mean[l] + (1 - BN_MOMENTUM) * mean
+        params.running_var[l][...] = BN_MOMENTUM * params.running_var[l] + (1 - BN_MOMENTUM) * var
+    else:
+        mean, var = params.running_mean[l], params.running_var[l]
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    x_hat = (z - mean) * inv_std
+    bn_out = params.gamma[l] * x_hat + params.beta[l]
+    return x_hat, inv_std, bn_out, np.maximum(bn_out, 0)
 
 
 def forward(params: ParamSet, masks: MaskSet, batch: np.ndarray, mode: str = "train"):
@@ -156,29 +173,15 @@ def forward(params: ParamSet, masks: MaskSet, batch: np.ndarray, mode: str = "tr
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    _check_net(params, masks)
     batch = np.asarray(batch)
-    if batch.ndim != 2 or batch.shape[1] != params.dims[0]:
-        raise ValueError(f"batch must be (N, {params.dims[0]}), got {batch.shape}")
+    _check_net(params, masks, batch)
     if mode == "train" and batch.shape[0] < 2:
         raise ValueError("train-mode batch norm needs at least 2 images")
     a = batch
     cache = ForwardCache(mode, [a], [], [], [])
     for l in range(params.n_hidden):
-        w = params.weights[l] * masks.masks[l]
-        z = a @ w + params.biases[l]
-        if mode == "train":
-            mean = z.mean(axis=0)
-            var = z.var(axis=0)
-            params.running_mean[l][...] = BN_MOMENTUM * params.running_mean[l] + (1 - BN_MOMENTUM) * mean
-            params.running_var[l][...] = BN_MOMENTUM * params.running_var[l] + (1 - BN_MOMENTUM) * var
-        else:
-            mean = params.running_mean[l]
-            var = params.running_var[l]
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        x_hat = (z - mean) * inv_std
-        bn_out = params.gamma[l] * x_hat + params.beta[l]
-        a = np.maximum(bn_out, 0)
+        z = a @ (params.weights[l] * masks.masks[l]) + params.biases[l]
+        x_hat, inv_std, bn_out, a = _hidden_layer(params, l, z, mode)
         cache.x_hat.append(x_hat)
         cache.inv_std.append(inv_std)
         cache.bn_out.append(bn_out)
@@ -234,15 +237,18 @@ def loss_and_grads(params: ParamSet, masks: MaskSet, batch: np.ndarray, labels: 
 
 def accuracy(params: ParamSet, masks: MaskSet, ds, batch_size: int = 1000) -> float:
     """Eval-mode classification accuracy; argmax ties go to the lowest index."""
-    n = len(ds)
-    if n == 0:
-        raise ValueError("cannot evaluate accuracy on an empty dataset")
     correct = 0
-    for start in range(0, n, batch_size):
-        chunk = slice(start, min(start + batch_size, n))
+    for chunk in _eval_chunks(ds, batch_size):
         logits, _ = forward(params, masks, ds.images[chunk], mode="eval")
         correct += int((np.argmax(logits, axis=1) == ds.labels[chunk]).sum())
-    return correct / n
+    return correct / len(ds)
+
+
+def _eval_chunks(ds, batch_size: int = 1000) -> list:
+    """The slices eval-mode passes over ds run in."""
+    if len(ds) == 0:
+        raise ValueError("cannot evaluate accuracy on an empty dataset")
+    return [slice(s, min(s + batch_size, len(ds))) for s in range(0, len(ds), batch_size)]
 
 
 def ablate_nodes(masks: MaskSet, layer: int, nodes) -> MaskSet:

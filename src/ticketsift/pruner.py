@@ -12,6 +12,7 @@ nodes have no incoming connection left.
 from __future__ import annotations
 
 import datetime
+import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -150,10 +151,16 @@ def iteration_seed(master_seed: int, n: int) -> int:
     return int(np.random.SeedSequence([int(master_seed), 1000 + int(n)]).generate_state(1)[0])
 
 
-def _config_fingerprint(dims, cfg: ImpConfig) -> dict:
-    d = asdict(cfg)
-    d.pop("max_iterations")  # a completed run may be extended with more iterations
+def _config_fingerprint(dims, imp_config: dict, run_config) -> dict:
+    """What a run directory is bound to: dims, the IMP settings and, when the
+    run was given one, its whole run configuration (dataset included)."""
+    d = {k: v for k, v in imp_config.items() if k != "max_iterations"}  # a run may be extended
     d["dims"] = list(dims)
+    if run_config is not None:
+        rc = json.loads(json.dumps(run_config))  # as the manifest stores it
+        rc.pop("imp", None)  # compared in normalized form as imp_config
+        rc.get("output", {}).pop("run_dir", None)  # a run directory may be moved
+        d["run_config"] = rc
     return d
 
 
@@ -199,14 +206,13 @@ def _write_run_manifest(run_dir: Path, dims, cfg: ImpConfig, iterations, stopped
     )
 
 
-def _resume_state(run_dir: Path, dims, cfg: ImpConfig):
+def _resume_state(run_dir: Path, dims, cfg: ImpConfig, run_config):
     manifest = reports.load_manifest(run_dir)
     if manifest.get("kind") != "imp":
         raise ValueError(f"{run_dir} does not hold a pruning run")
-    recorded = dict(manifest["imp_config"])
-    recorded.pop("max_iterations", None)
-    recorded["dims"] = manifest["dims"]
-    if recorded != _config_fingerprint(dims, cfg):
+    recorded_config = None if run_config is None else manifest.get("run_config") or {}
+    recorded = _config_fingerprint(manifest["dims"], manifest["imp_config"], recorded_config)
+    if recorded != _config_fingerprint(dims, asdict(cfg), run_config):
         raise ValueError(f"existing run in {run_dir} was produced by a different configuration")
     iterations = []
     for entry in manifest["iterations"]:
@@ -232,7 +238,10 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     Every iteration's masks, final parameters, and training curve are written
     under run_dir, and manifest.json is updated after each one, so an
     interrupted run resumes from its last completed iteration (and a finished
-    run can be extended by raising max_iterations).
+    run can be extended by raising max_iterations). A run resumes only under
+    the dims and IMP settings it was made with and, when run_config is given,
+    the same run configuration apart from output.run_dir; otherwise it
+    raises ValueError.
     """
     dims = check_dims(dims)
     run_dir = Path(run_dir)
@@ -240,7 +249,7 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     master = cfg.train_cfg.seed
 
     if (run_dir / "manifest.json").is_file():
-        iterations, rewind_ckpt, stopped_reason = _resume_state(run_dir, dims, cfg)
+        iterations, rewind_ckpt, stopped_reason = _resume_state(run_dir, dims, cfg, run_config)
         if stopped_reason == "node_fraction" or len(iterations) > cfg.max_iterations:
             return ImpRun(dims, cfg, iterations, rewind_ckpt, stopped_reason, run_dir)
         final_params = reports.load_checkpoint(run_dir / iterations[-1].params_file)

@@ -193,6 +193,18 @@ class TestTrainCommand:
         assert main(["train", "--config", write_config(tmp_path / "c.json", raw)]) == 1
         assert not (tmp_path / "run").exists()
 
+    def test_refuses_existing_imp_run(self, tmp_path, capsys):
+        raw = base_config(tmp_path / "run")
+        raw["imp"]["max_iterations"] = 1
+        config = write_config(tmp_path / "c.json", raw)
+        assert main(["imp", "--config", config]) == 0
+        kept = [tmp_path / "run/manifest.json", *sorted((tmp_path / "run/iters/001").iterdir())]
+        before = [path.read_bytes() for path in kept]
+        capsys.readouterr()
+        assert main(["train", "--config", config]) == 1
+        assert "already holds a run" in capsys.readouterr().err
+        assert [path.read_bytes() for path in kept] == before
+
 
 class TestImpCommand:
     def test_runs_and_reports(self, imp_run, capsys):
@@ -202,6 +214,24 @@ class TestImpCommand:
         assert [it["n"] for it in manifest["iterations"]] == [0, 1, 2]
         # rerunning a finished run is a cheap no-op
         assert main(["imp", "--config", config]) == 0
+        assert "completed 3 iterations" in capsys.readouterr().out
+
+    def test_resume_with_other_dataset_rejected(self, tmp_path, capsys):
+        raw = base_config(tmp_path / "run")
+        raw["dataset"]["seed"] = 4
+        raw["imp"]["max_iterations"] = 1
+        assert main(["imp", "--config", write_config(tmp_path / "a.json", raw)]) == 0
+        manifest = (tmp_path / "run/manifest.json").read_bytes()
+        raw["dataset"]["seed"] = 99
+        assert main(["imp", "--config", write_config(tmp_path / "b.json", raw)]) == 1
+        assert "different configuration" in capsys.readouterr().err
+        assert (tmp_path / "run/manifest.json").read_bytes() == manifest
+        # a moved run directory and a higher max_iterations still resume
+        (tmp_path / "run").rename(tmp_path / "moved")
+        raw["dataset"]["seed"] = 4
+        raw["imp"]["max_iterations"] = 2
+        raw["output"]["run_dir"] = str(tmp_path / "moved")
+        assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 0
         assert "completed 3 iterations" in capsys.readouterr().out
 
     def test_config_without_imp_section_rejected(self, tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ticketsift.datasets import ImageDataset, ImageGeometry
-from ticketsift.network import MaskSet, init_params
+from ticketsift.network import MaskSet, ablate_nodes, accuracy, forward, init_params
 from ticketsift.observables import (
     ablation_curve,
     binomial_reference,
@@ -310,6 +310,51 @@ class TestAblationCurve:
             ablation_curve(params, masks, ds, "sideways", [0])
         with pytest.raises(ValueError):
             ablation_curve(params, masks, ds, "ascending", [4])
+
+
+def trained_looking_net(rng):
+    """A [48, 24, 12, 3] net with nonzero biases and batch-norm state, three
+    dead layer-1 nodes, and 2,500 images (eval chunks of 1000 + 1000 + 500)
+    whose labels mostly follow the full network, so ablation moves the
+    accuracy."""
+    geom = ImageGeometry(8, 6, 1)
+    dims = [48, 24, 12, 3]
+    params = init_params(dims, seed=7)
+    for group in (params.biases, params.beta, params.running_mean):
+        for v in group:
+            v[...] = rng.normal(0.0, 0.5, v.shape)
+    for group in (params.gamma, params.running_var):
+        for v in group:
+            v[...] = rng.uniform(0.5, 2.0, v.shape)
+    masks = MaskSet([(rng.random((a, b)) < 0.6).astype(np.uint8) for a, b in zip(dims[:-2], dims[1:-1])])
+    masks.masks[0][:, [2, 9, 17]] = 0
+    images = rng.random((2500, 48), dtype=np.float32)
+    logits, _ = forward(params, masks, images, "eval")
+    labels = np.where(rng.random(2500) < 0.8, np.argmax(logits, axis=1), rng.integers(0, 3, 2500))
+    return params, masks, ImageDataset(geom, images, labels, 3)
+
+
+class TestAblationCurveExact:
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_equals_ablated_accuracy_bit_for_bit(self, rng, order):
+        params, masks, ds = trained_looking_net(rng)
+        n_nodes = masks.masks[0].shape[1]
+        incoming = masks.masks[0].sum(axis=0, dtype=np.int64)
+        ranked = np.argsort(incoming if order == "ascending" else -incoming, kind="stable")
+        counts = [0, 1, n_nodes, 13, 4, 20, 3]
+        curve = ablation_curve(params, masks, ds, order, counts)
+        expected = [(c, accuracy(params, ablate_nodes(masks, 1, ranked[:c]), ds)) for c in counts]
+        assert curve == expected
+        assert len({acc for _, acc in curve}) > 2  # the curve is not flat
+
+    def test_counts_checked_before_any_evaluation(self, rng):
+        params, masks, ds = trained_looking_net(rng)
+        empty = ImageDataset(ds.geometry, ds.images[:0], ds.labels[:0], 3)
+        with pytest.raises(ValueError, match="cannot remove 25 of 24 nodes"):
+            ablation_curve(params, masks, empty, "ascending", [0, 1, 25])
+        with pytest.raises(ValueError, match="empty dataset"):
+            ablation_curve(params, masks, empty, "ascending", [0, 1])
+        assert ablation_curve(params, masks, empty, "ascending", []) == []
 
 
 class TestBinomialReference:
