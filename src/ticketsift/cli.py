@@ -263,6 +263,7 @@ def cmd_train(args) -> int:
         "pixel_layout": reports.PIXEL_LAYOUT,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "dims": dims,
+        "geometry": asdict(train_ds.geometry),
         "run_config": cfg,
         "rewind_file": "rewind.tkts",
         "stopped_reason": "",
@@ -302,6 +303,10 @@ def _load_iteration(run_dir: Path, iteration: int):
 
 
 def _manifest_geometry(manifest: dict) -> ImageGeometry:
+    """The recorded image geometry; manifests written before it was recorded
+    fall back to the run configuration (square single-channel for IDX)."""
+    if manifest.get("geometry"):
+        return ImageGeometry(**manifest["geometry"])
     cfg = manifest.get("run_config")
     if not cfg:
         raise ValueError("manifest carries no run configuration")

@@ -4,21 +4,26 @@ normalization, softmax cross-entropy gradients, accuracy, and node ablation.
 Layer numbering used across the package: layer 0 is the input plane, layers
 1..k are hidden layers, and the output layer carries no mask, batch norm, or
 nonlinearity. ``masks[i]`` gates the weight matrix feeding hidden layer i+1,
-i.e. the incoming mask of node layer i+1.
-
-Masked weights stay in storage; they are multiplied out of every forward and
-backward pass and receive exactly zero gradient. Each hidden layer applies
+i.e. the incoming mask of node layer i+1. Each hidden layer applies
 affine -> batch norm -> ReLU.
+
+The public passes multiply the masks into the weights, so a masked weight's
+stored value is irrelevant there; masked weights get exactly zero gradient.
+Training instead stores masked weights as +0.0, set once when it starts and
+kept there by the masked gradient under SGD and Adam, and runs the same
+arithmetic on the stored weights with no ``W * M`` product.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
+_GROUPS = ("weights", "biases", "gamma", "beta", "running_mean", "running_var")
 
 
 def check_dims(dims) -> list:
@@ -30,20 +35,45 @@ def check_dims(dims) -> list:
     return dims
 
 
-@dataclass
+def _size(dims) -> int:
+    """Length of a network's buffer: weights, biases, 4 batch-norm vectors per hidden layer."""
+    return sum(a * b + b for a, b in zip(dims[:-1], dims[1:])) + 4 * sum(dims[1:-1])
+
+
 class ParamSet:
     """All trainable state plus batch-norm running statistics.
 
     weights[l] has shape (dims[l], dims[l+1]); the batch-norm vectors exist
-    for hidden layers only (len(weights) - 1 entries).
+    for hidden layers only (len(weights) - 1 entries). Every array is a view
+    into one contiguous buffer of the arrays' common dtype, laid out in .tkts
+    order: write into the arrays (``w[...] = x``), never replace an entry.
     """
 
-    weights: list
-    biases: list
-    gamma: list
-    beta: list
-    running_mean: list
-    running_var: list
+    def __init__(self, weights, biases, gamma, beta, running_mean, running_var):
+        groups = (weights, biases, gamma, beta, running_mean, running_var)
+        dims = [weights[0].shape[0]] + [w.shape[1] for w in weights]
+        self._bind(dims, np.zeros(_size(dims), np.result_type(*(a for g in groups for a in g))))
+        for name, arrays in zip(_GROUPS, groups):
+            if [np.shape(a) for a in arrays] != [v.shape for v in getattr(self, name)]:
+                raise ValueError(f"{name} shapes do not match dims {dims}")
+            for view, a in zip(getattr(self, name), arrays):
+                view[...] = a
+
+    def _bind(self, dims, flat: np.ndarray):
+        """Make every list field a list of views into flat; returns self."""
+        self._flat, pos = flat, 0
+        for group in _GROUPS:
+            setattr(self, group, [])
+        for l, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
+            for group in _GROUPS if l < len(dims) - 2 else _GROUPS[:2]:
+                shape = (a, b) if group == "weights" else (b,)
+                getattr(self, group).append(flat[pos : pos + math.prod(shape)].reshape(shape))
+                pos += math.prod(shape)
+        return self
+
+    @classmethod
+    def _zeros(cls, dims, dtype):
+        return cls.__new__(cls)._bind(dims, np.zeros(_size(dims), dtype))
 
     @property
     def dims(self) -> list:
@@ -53,29 +83,17 @@ class ParamSet:
     def n_hidden(self) -> int:
         return len(self.weights) - 1
 
-    def copy(self) -> "ParamSet":
-        return ParamSet(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            [g.copy() for g in self.gamma],
-            [b.copy() for b in self.beta],
-            [m.copy() for m in self.running_mean],
-            [v.copy() for v in self.running_var],
-        )
+    def copy(self):
+        return type(self).__new__(type(self))._bind(self.dims, self._flat.copy())
 
 
-@dataclass
-class ParamGrads:
-    """Gradients mirroring the trainable fields of ParamSet."""
+class ParamGrads(ParamSet):
+    """Gradients of the trainable fields of a ParamSet, in the ParamSet buffer
+    layout; the running-statistic slots hold zeros."""
 
-    weights: list
-    biases: list
-    gamma: list
-    beta: list
-
-
-def _trainable_groups(obj):
-    return (obj.weights, obj.biases, obj.gamma, obj.beta)
+    def __init__(self, weights, biases, gamma, beta):
+        zeros = [np.zeros_like(g) for g in gamma]
+        super().__init__(weights, biases, gamma, beta, zeros, zeros)
 
 
 @dataclass
@@ -106,19 +124,12 @@ def init_params(dims, seed, dtype=np.float32) -> ParamSet:
     batch-norm scale 1, shift 0, running mean 0, running variance 1."""
     dims = check_dims(dims)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for a, b in zip(dims[:-1], dims[1:]):
-        weights.append(rng.normal(0.0, np.sqrt(2.0 / (a + b)), size=(a, b)).astype(dtype))
-        biases.append(np.zeros(b, dtype=dtype))
-    hidden = dims[1:-1]
-    return ParamSet(
-        weights,
-        biases,
-        gamma=[np.ones(h, dtype=dtype) for h in hidden],
-        beta=[np.zeros(h, dtype=dtype) for h in hidden],
-        running_mean=[np.zeros(h, dtype=dtype) for h in hidden],
-        running_var=[np.ones(h, dtype=dtype) for h in hidden],
-    )
+    params = ParamSet._zeros(dims, dtype)
+    for w in params.weights:
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / sum(w.shape)), size=w.shape)
+    for v in params.gamma + params.running_var:
+        v[...] = 1
+    return params
 
 
 @dataclass
@@ -136,7 +147,9 @@ class ForwardCache:
     bn_out: list
 
 
-def _check_net(params: ParamSet, masks: MaskSet, batch: np.ndarray) -> None:
+def _check_net(params: ParamSet, masks: MaskSet, batch: np.ndarray, mode: str = "eval") -> None:
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if len(masks.masks) != len(params.weights) - 1:
         raise ValueError(
             f"need one mask per hidden weight matrix: "
@@ -147,13 +160,21 @@ def _check_net(params: ParamSet, masks: MaskSet, batch: np.ndarray) -> None:
             raise ValueError(f"mask shape {m.shape} != weight shape {w.shape}")
     if batch.ndim != 2 or batch.shape[1] != params.dims[0]:
         raise ValueError(f"batch must be (N, {params.dims[0]}), got {batch.shape}")
+    if mode == "train" and batch.shape[0] < 2:
+        raise ValueError("train-mode batch norm needs at least 2 images")
+
+
+def _masked_weights(params: ParamSet, masks: MaskSet) -> list:
+    """W * M for every masked layer, then the unmasked output weights."""
+    return [w * m for w, m in zip(params.weights, masks.masks)] + params.weights[-1:]
 
 
 def _hidden_layer(params: ParamSet, l: int, z: np.ndarray, mode: str):
     """Batch norm -> ReLU of hidden layer l + 1 from its pre-activation z;
     returns (x_hat, inv_std, bn_out, activation)."""
     if mode == "train":
-        mean, var = z.mean(axis=0), z.var(axis=0)
+        mean = z.mean(axis=0)
+        var = np.square(z - mean).mean(axis=0)  # z.var(axis=0) without computing the mean twice
         params.running_mean[l][...] = BN_MOMENTUM * params.running_mean[l] + (1 - BN_MOMENTUM) * mean
         params.running_var[l][...] = BN_MOMENTUM * params.running_var[l] + (1 - BN_MOMENTUM) * var
     else:
@@ -171,23 +192,22 @@ def forward(params: ParamSet, masks: MaskSet, batch: np.ndarray, mode: str = "tr
     statistics in place; mode "eval" uses the stored running statistics and
     leaves all state untouched. Train mode needs a batch of at least 2.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     batch = np.asarray(batch)
-    _check_net(params, masks, batch)
-    if mode == "train" and batch.shape[0] < 2:
-        raise ValueError("train-mode batch norm needs at least 2 images")
+    _check_net(params, masks, batch, mode)
+    return _forward(params, _masked_weights(params, masks), batch, mode)
+
+
+def _forward(params: ParamSet, weights: list, batch: np.ndarray, mode: str):
+    """``forward``'s arithmetic on effective weights: W * M, or stored weights zeroed where masked."""
     a = batch
     cache = ForwardCache(mode, [a], [], [], [])
     for l in range(params.n_hidden):
-        z = a @ (params.weights[l] * masks.masks[l]) + params.biases[l]
-        x_hat, inv_std, bn_out, a = _hidden_layer(params, l, z, mode)
+        x_hat, inv_std, bn_out, a = _hidden_layer(params, l, a @ weights[l] + params.biases[l], mode)
         cache.x_hat.append(x_hat)
         cache.inv_std.append(inv_std)
         cache.bn_out.append(bn_out)
         cache.activations.append(a)
-    logits = a @ params.weights[-1] + params.biases[-1]
-    return logits, cache
+    return a @ weights[-1] + params.biases[-1], cache
 
 
 def loss_and_grads(params: ParamSet, masks: MaskSet, batch: np.ndarray, labels: np.ndarray):
@@ -197,8 +217,17 @@ def loss_and_grads(params: ParamSet, masks: MaskSet, batch: np.ndarray, labels: 
     during training). Gradients of masked weights are identically zero; the
     output layer is unmasked.
     """
+    batch = np.asarray(batch)
+    _check_net(params, masks, batch, "train")
+    grads = ParamGrads._zeros(params.dims, np.result_type(params._flat, batch))
+    return _loss_and_grads(params, masks.masks, _masked_weights(params, masks), batch, labels, grads)
+
+
+def _loss_and_grads(params: ParamSet, gates: list, weights: list, batch, labels, grads):
+    """``loss_and_grads``'s arithmetic on effective weights (see ``_forward``) and 0/1 mask
+    arrays ``gates``; writes every trainable gradient into ``grads``."""
     labels = np.asarray(labels)
-    logits, cache = forward(params, masks, batch, mode="train")
+    logits, cache = _forward(params, weights, batch, "train")
     n = logits.shape[0]
     if labels.shape != (n,):
         raise ValueError("labels must be one per image")
@@ -211,35 +240,36 @@ def loss_and_grads(params: ParamSet, masks: MaskSet, batch: np.ndarray, labels: 
     d_logits[np.arange(n), labels] -= 1.0
     d_logits /= n
 
-    n_w = len(params.weights)
-    g_w = [None] * n_w
-    g_b = [None] * n_w
-    g_gamma = [None] * params.n_hidden
-    g_beta = [None] * params.n_hidden
-
-    g_w[-1] = cache.activations[-1].T @ d_logits
-    g_b[-1] = d_logits.sum(axis=0)
-    d_a = d_logits @ params.weights[-1].T
+    np.matmul(cache.activations[-1].T, d_logits, out=grads.weights[-1])
+    d_logits.sum(axis=0, out=grads.biases[-1])
+    d_a = d_logits @ weights[-1].T
     for l in range(params.n_hidden - 1, -1, -1):
         d_bn = d_a * (cache.bn_out[l] > 0)
-        g_gamma[l] = (d_bn * cache.x_hat[l]).sum(axis=0)
-        g_beta[l] = d_bn.sum(axis=0)
+        (d_bn * cache.x_hat[l]).sum(axis=0, out=grads.gamma[l])
+        d_bn.sum(axis=0, out=grads.beta[l])
         d_xhat = d_bn * params.gamma[l]
         d_z = (cache.inv_std[l] / n) * (
             n * d_xhat - d_xhat.sum(axis=0) - cache.x_hat[l] * (d_xhat * cache.x_hat[l]).sum(axis=0)
         )
-        g_w[l] = (cache.activations[l].T @ d_z) * masks.masks[l]
-        g_b[l] = d_z.sum(axis=0)
+        np.matmul(cache.activations[l].T, d_z, out=grads.weights[l])
+        grads.weights[l] *= gates[l]
+        d_z.sum(axis=0, out=grads.biases[l])
         if l > 0:
-            d_a = d_z @ (params.weights[l] * masks.masks[l]).T
-    return loss, ParamGrads(g_w, g_b, g_gamma, g_beta)
+            d_a = d_z @ weights[l].T
+    return loss, grads
 
 
 def accuracy(params: ParamSet, masks: MaskSet, ds, batch_size: int = 1000) -> float:
     """Eval-mode classification accuracy; argmax ties go to the lowest index."""
+    _check_net(params, masks, ds.images)
+    return _accuracy(params, _masked_weights(params, masks), ds, batch_size)
+
+
+def _accuracy(params: ParamSet, weights: list, ds, batch_size: int = 1000) -> float:
+    """``accuracy``'s arithmetic on effective weights (see ``_forward``)."""
     correct = 0
     for chunk in _eval_chunks(ds, batch_size):
-        logits, _ = forward(params, masks, ds.images[chunk], mode="eval")
+        logits, _ = _forward(params, weights, ds.images[chunk], "eval")
         correct += int((np.argmax(logits, axis=1) == ds.labels[chunk]).sum())
     return correct / len(ds)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import ImageGeometry, pixel_coords
-from .network import MaskSet, ParamSet, _check_net, _eval_chunks, _hidden_layer, forward
+from .network import MaskSet, ParamSet, _check_net, _eval_chunks, _hidden_layer, _masked_weights, forward
 
 
 @dataclass
@@ -244,7 +244,7 @@ def ablation_curve(params: ParamSet, masks: MaskSet, ds, order: str, step_counts
         return []
     chunks = _eval_chunks(ds)
     _check_net(params, masks, ds.images)
-    weights = [w * m for w, m in zip(params.weights, masks.masks)] + params.weights[-1:]
+    weights = _masked_weights(params, masks)
     correct = [0] * len(counts)
     for chunk in chunks:
         z1 = ds.images[chunk] @ weights[0] + params.biases[0]

@@ -61,9 +61,13 @@ def prune_step(params: ParamSet, masks: MaskSet, fraction: float, layers=None) -
         if k == 0:
             continue
         magnitudes = np.abs(params.weights[layer - 1].ravel()[surviving])
-        # stable sort on |w|: ties fall back to ascending flat index
-        order = np.argsort(magnitudes, kind="stable")
-        flat_mask[surviving[order[:k]]] = 0
+        # the k smallest in a stable sort on |w|: everything below the k-th
+        # smallest value, then the first ties in ascending flat index
+        kth = np.partition(magnitudes, k - 1)[k - 1]
+        below = magnitudes < kth
+        ties = np.flatnonzero(magnitudes == kth)[: k - np.count_nonzero(below)]
+        flat_mask[surviving[below]] = 0
+        flat_mask[surviving[ties]] = 0
     return out
 
 
@@ -176,13 +180,15 @@ def _persist_iteration(run_dir: Path, it: ImpIteration, params: ParamSet, record
     reports.export_train_curve_csv(records, run_dir / it.curve_file)
 
 
-def _write_run_manifest(run_dir: Path, dims, cfg: ImpConfig, iterations, stopped_reason, run_config) -> None:
+def _write_run_manifest(run_dir: Path, dims, geometry, cfg: ImpConfig, iterations, stopped_reason,
+                        run_config) -> None:
     data = {
         "format_version": reports.FORMAT_VERSION,
         "kind": "imp",
         "pixel_layout": reports.PIXEL_LAYOUT,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "dims": list(dims),
+        "geometry": asdict(geometry),
         "imp_config": asdict(cfg),
         "run_config": run_config,
         "rewind_file": "rewind.tkts",
@@ -229,7 +235,7 @@ def _resume_state(run_dir: Path, dims, cfg: ImpConfig, run_config):
             )
         )
     rewind_ckpt = Checkpoint(cfg.rewind_step, reports.load_checkpoint(run_dir / manifest["rewind_file"]))
-    return iterations, rewind_ckpt, manifest.get("stopped_reason", "")
+    return iterations, rewind_ckpt, manifest.get("stopped_reason", ""), manifest.get("run_config")
 
 
 def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) -> ImpRun:
@@ -241,7 +247,8 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     run can be extended by raising max_iterations). A run resumes only under
     the dims and IMP settings it was made with and, when run_config is given,
     the same run configuration apart from output.run_dir; otherwise it
-    raises ValueError.
+    raises ValueError. A resume without run_config keeps the recorded one.
+    The manifest records the image geometry of train_ds.
     """
     dims = check_dims(dims)
     run_dir = Path(run_dir)
@@ -249,7 +256,8 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     master = cfg.train_cfg.seed
 
     if (run_dir / "manifest.json").is_file():
-        iterations, rewind_ckpt, stopped_reason = _resume_state(run_dir, dims, cfg, run_config)
+        iterations, rewind_ckpt, stopped_reason, recorded = _resume_state(run_dir, dims, cfg, run_config)
+        run_config = recorded if run_config is None else run_config  # keep the recorded configuration
         if stopped_reason == "node_fraction" or len(iterations) > cfg.max_iterations:
             return ImpRun(dims, cfg, iterations, rewind_ckpt, stopped_reason, run_dir)
         final_params = reports.load_checkpoint(run_dir / iterations[-1].params_file)
@@ -267,14 +275,14 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
         _persist_iteration(run_dir, it0, result.params, result.records)
         iterations.append(it0)
         stopped_reason = "max_iterations"
-        _write_run_manifest(run_dir, dims, cfg, iterations, stopped_reason, run_config)
+        _write_run_manifest(run_dir, dims, train_ds.geometry, cfg, iterations, stopped_reason, run_config)
         final_params = result.params
 
     for n in range(len(iterations), cfg.max_iterations + 1):
         masks = prune_step(final_params, iterations[-1].masks, cfg.prune_fraction, cfg.layers_to_prune)
         if stop_condition(masks, cfg.stop_node_fraction):
             stopped_reason = "node_fraction"
-            _write_run_manifest(run_dir, dims, cfg, iterations, stopped_reason, run_config)
+            _write_run_manifest(run_dir, dims, train_ds.geometry, cfg, iterations, stopped_reason, run_config)
             break
         start = rewind(final_params, rewind_ckpt, masks)
         cfg_n = replace(cfg.train_cfg, seed=iteration_seed(master, n))
@@ -284,7 +292,7 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
         it = ImpIteration(n, per_layer, u, result.best_val, masks, mask_file, params_file, curve_file)
         _persist_iteration(run_dir, it, result.params, result.records)
         iterations.append(it)
-        _write_run_manifest(run_dir, dims, cfg, iterations, stopped_reason, run_config)
+        _write_run_manifest(run_dir, dims, train_ds.geometry, cfg, iterations, stopped_reason, run_config)
         final_params = result.params
 
     return ImpRun(dims, cfg, iterations, rewind_ckpt, stopped_reason, run_dir)

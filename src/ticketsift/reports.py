@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import MaskSet, ParamSet
+from .network import MaskSet, ParamSet, _size
 
 CHECKPOINT_MAGIC = b"TKTS"
 MASK_MAGIC = b"TKMS"
@@ -42,10 +42,6 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def array(self, dtype, count: int) -> np.ndarray:
-        raw = self.take(count * np.dtype(dtype).itemsize)
-        return np.frombuffer(raw, dtype=dtype).copy()
-
     def finish(self) -> None:
         if self.pos != len(self.data):
             raise ValueError(f"trailing bytes in {self.path}")
@@ -61,17 +57,11 @@ def _check_header(r: _Reader, magic: bytes) -> None:
 
 
 def save_checkpoint(path, params: ParamSet) -> None:
-    """Write a ParamSet; arrays are stored as float32."""
+    """Write a ParamSet as float32: a header, then its buffer (per layer: weights,
+    biases and, for hidden layers, gamma, beta, running mean, running variance)."""
     dims = params.dims
-    parts = [CHECKPOINT_MAGIC, struct.pack("<II", FORMAT_VERSION, len(params.weights))]
-    parts.append(struct.pack(f"<{len(dims)}I", *dims))
-    for l in range(len(params.weights)):
-        parts.append(np.ascontiguousarray(params.weights[l], dtype=np.float32).tobytes())
-        parts.append(np.ascontiguousarray(params.biases[l], dtype=np.float32).tobytes())
-        if l < params.n_hidden:
-            for group in (params.gamma, params.beta, params.running_mean, params.running_var):
-                parts.append(np.ascontiguousarray(group[l], dtype=np.float32).tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    header = CHECKPOINT_MAGIC + struct.pack(f"<II{len(dims)}I", FORMAT_VERSION, len(dims) - 1, *dims)
+    Path(path).write_bytes(header + params._flat.astype(np.float32, copy=False).tobytes())
 
 
 def load_checkpoint(path) -> ParamSet:
@@ -81,19 +71,9 @@ def load_checkpoint(path) -> ParamSet:
     if n_layers < 2:
         raise ValueError(f"checkpoint {path} must hold at least 2 weight layers")
     dims = list(r.unpack(f"<{n_layers + 1}I"))
-    weights, biases = [], []
-    gamma, beta, r_mean, r_var = [], [], [], []
-    for l in range(n_layers):
-        a, b = dims[l], dims[l + 1]
-        weights.append(r.array(np.float32, a * b).reshape(a, b))
-        biases.append(r.array(np.float32, b))
-        if l < n_layers - 1:
-            gamma.append(r.array(np.float32, b))
-            beta.append(r.array(np.float32, b))
-            r_mean.append(r.array(np.float32, b))
-            r_var.append(r.array(np.float32, b))
+    flat = np.frombuffer(r.take(4 * _size(dims)), dtype=np.float32).copy()
     r.finish()
-    return ParamSet(weights, biases, gamma, beta, r_mean, r_var)
+    return ParamSet.__new__(ParamSet)._bind(dims, flat)
 
 
 def save_masks(path, masks: MaskSet) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import ImageDataset, translate_wrap_each
-from .network import MaskSet, ParamGrads, ParamSet, _trainable_groups, accuracy, loss_and_grads
+from .network import MaskSet, ParamGrads, ParamSet, _accuracy, _check_net, _loss_and_grads
 
 
 @dataclass
@@ -77,9 +77,7 @@ class TrainingDiverged(RuntimeError):
 
 def sgd_step(params: ParamSet, grads: ParamGrads, lr: float) -> ParamSet:
     """In-place w <- w - lr * g on every trainable array; returns params."""
-    for p_group, g_group in zip(_trainable_groups(params), _trainable_groups(grads)):
-        for p, g in zip(p_group, g_group):
-            p -= lr * g
+    params._flat -= lr * grads._flat  # running-statistic slots of grads are 0
     return params
 
 
@@ -88,15 +86,6 @@ class AdamState:
     t: int = 0
     m: ParamGrads | None = None
     v: ParamGrads | None = None
-
-
-def _zeros_like_grads(params: ParamSet) -> ParamGrads:
-    return ParamGrads(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-        [np.zeros_like(g) for g in params.gamma],
-        [np.zeros_like(b) for b in params.beta],
-    )
 
 
 def adam_step(
@@ -110,25 +99,19 @@ def adam_step(
 ):
     """One Adam update with bias correction; mutates params and state.
 
-    Masked weights have zero gradient, so their moments stay identically zero
-    and the weights never move.
+    Masked weights and running statistics have zero gradient, so their
+    moments stay identically zero and they do not move.
     """
     if state.m is None:
-        state.m = _zeros_like_grads(params)
-        state.v = _zeros_like_grads(params)
+        state.m = ParamGrads._zeros(params.dims, params._flat.dtype)
+        state.v = ParamGrads._zeros(params.dims, params._flat.dtype)
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
-    for p_group, g_group, m_group, v_group in zip(
-        _trainable_groups(params),
-        _trainable_groups(grads),
-        _trainable_groups(state.m),
-        _trainable_groups(state.v),
-    ):
-        for p, g, m, v in zip(p_group, g_group, m_group, v_group):
-            m[...] = beta1 * m + (1.0 - beta1) * g
-            v[...] = beta2 * v + (1.0 - beta2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    g, m, v = grads._flat, state.m._flat, state.v._flat
+    m[...] = beta1 * m + (1.0 - beta1) * g
+    v[...] = beta2 * v + (1.0 - beta2) * g * g
+    params._flat -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
     return params, state
 
 
@@ -140,7 +123,8 @@ def train(
     cfg: TrainConfig,
     capture_rewind: bool = False,
 ) -> TrainResult:
-    """Run cfg.steps optimizer steps; the input ParamSet is not modified.
+    """Run cfg.steps optimizer steps; the input ParamSet is not modified, and
+    the returned parameters and checkpoints hold +0.0 at masked positions.
 
     Evaluates on val_ds every eval_every steps (and at the final step); with
     an empty validation set no records are produced and best_val is None.
@@ -151,9 +135,14 @@ def train(
     if n < cfg.batch_size:
         raise ValueError(f"training set ({n}) smaller than batch_size ({cfg.batch_size})")
     p = params.copy()
+    _check_net(p, masks, train_ds.images)
+    for w, m in zip(p.weights, masks.masks):
+        w[m == 0] = 0.0  # stored as +0.0 from here on; the masked gradient keeps them there
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     augment_rng = np.random.default_rng([cfg.seed, 2])
     geom = train_ds.geometry
+    grads = ParamGrads._zeros(p.dims, np.result_type(p._flat, train_ds.images))  # rewritten every step
+    gates = [m.astype(grads._flat.dtype) for m in masks.masks]  # masks the gradient without a cast
     adam = AdamState() if cfg.optimizer == "adam" else None
     rewind = Checkpoint(0, p.copy()) if capture_rewind and cfg.rewind_step == 0 else None
     records: list = []
@@ -176,7 +165,7 @@ def train(
                     axis=1,
                 )
                 xb = translate_wrap_each(xb, geom, shifts)
-            loss, grads = loss_and_grads(p, masks, xb, yb)
+            loss, _ = _loss_and_grads(p, gates, p.weights, xb, yb, grads)
             if not math.isfinite(loss):
                 raise TrainingDiverged(step + 1, loss)
             if cfg.optimizer == "sgd":
@@ -187,6 +176,6 @@ def train(
             if capture_rewind and step == cfg.rewind_step:
                 rewind = Checkpoint(step, p.copy())
             if (step % cfg.eval_every == 0 or step == cfg.steps) and len(val_ds) > 0:
-                records.append(TrainRecord(step, float(loss), accuracy(p, masks, val_ds)))
+                records.append(TrainRecord(step, float(loss), _accuracy(p, p.weights, val_ds)))
     best_val = max((r.val_accuracy for r in records), default=None)
     return TrainResult(p, best_val, records, rewind)

@@ -5,9 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ticketsift.cli import load_run_config, main
-from ticketsift.datasets import load_cifar_binary, load_idx
+from ticketsift.cli import build_dataset, load_run_config, main
+from ticketsift.datasets import ImageGeometry, load_cifar_binary, load_idx, save_idx
+from ticketsift.observables import locality_map
+from ticketsift.pruner import ImpConfig, run_imp
 from ticketsift.reports import load_checkpoint, load_locality_csv, load_masks
+from ticketsift.trainer import TrainConfig
+
+from conftest import random_dataset
 
 DIMS = [16, 8, 4, 2]
 
@@ -233,6 +238,44 @@ class TestImpCommand:
         raw["output"]["run_dir"] = str(tmp_path / "moved")
         assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 0
         assert "completed 3 iterations" in capsys.readouterr().out
+
+    def test_library_resume_keeps_run_config(self, tmp_path):
+        raw = base_config(tmp_path / "run")
+        raw["imp"]["max_iterations"] = 1
+        config = write_config(tmp_path / "c.json", raw)
+        assert main(["imp", "--config", config]) == 0
+        recorded = json.loads((tmp_path / "run/manifest.json").read_text())["run_config"]
+        cfg = load_run_config(config)
+        train_ds, val_ds = build_dataset(cfg)
+        imp_cfg = ImpConfig(train_cfg=TrainConfig(**cfg["train"]), **{**cfg["imp"], "max_iterations": 2})
+        run_imp(cfg["network"]["dims"], train_ds, val_ds, imp_cfg, tmp_path / "run")
+        manifest = json.loads((tmp_path / "run/manifest.json").read_text())
+        assert [it["n"] for it in manifest["iterations"]] == [0, 1, 2]
+        assert manifest["run_config"] == recorded
+        assert main(["ablate", str(tmp_path / "run"), "--iteration", "2"]) == 0
+
+    def test_non_square_idx_geometry_recorded(self, tmp_path, rng):
+        # 8 x 2 pixels is 16 inputs, which the square rule reads as 4 x 4
+        geom = ImageGeometry(8, 2, 1)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        save_idx(random_dataset(rng, geom, 48, 2), images, labels)
+        raw = base_config(tmp_path / "run")
+        raw["dataset"] = {"format": "idx", "paths": [str(images), str(labels)], "n_val": 16}
+        raw["imp"]["max_iterations"] = 1
+        assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 0
+        manifest_path = tmp_path / "run/manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["geometry"] == {"width": 8, "height": 2, "channels": 1}
+        masks = load_masks(tmp_path / "run/iters/001/masks.tkms")
+        argv = ["analyze", str(tmp_path / "run"), "locality", "--iteration", "1", "--layer", "1"]
+        csv = tmp_path / "run/analysis/iter001_locality_l1_same.csv"
+        assert main(argv) == 0
+        assert np.array_equal(load_locality_csv(csv), locality_map(masks.masks[0], geom, "same").grid)
+        # a manifest written before the geometry was recorded keeps the square rule
+        del manifest["geometry"]
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(argv) == 0
+        assert load_locality_csv(csv).shape == (7, 7)
 
     def test_config_without_imp_section_rejected(self, tmp_path, capsys):
         raw = base_config(tmp_path / "run")

@@ -139,6 +139,26 @@ class TestPruneStep:
             expect = oracles.brute_force_prune(params.weights[0], masks.masks[0], fraction)
             assert np.array_equal(out.masks[0], expect)
 
+    def test_selection_matches_brute_force_with_ties_at_the_cut(self, rng):
+        # three magnitudes, the middle one holding the 20%..80% quantiles, so
+        # in every layer the k-th smallest surviving |w| is shared by weights
+        # on both sides of the cut
+        dims = [20, 16, 12, 3]
+        for _ in range(10):
+            params = init_params(dims, seed=int(rng.integers(1 << 30)))
+            masks = MaskSet.full(dims)
+            for w, m in zip(params.weights, masks.masks):
+                magnitude = rng.choice([0.5, 1.0, 1.5], size=w.shape, p=[0.2, 0.6, 0.2])
+                w[...] = magnitude * rng.choice([-1.0, 1.0], size=w.shape)
+                m[...] = rng.random(m.shape) < 0.8
+            fraction = float(rng.uniform(0.3, 0.7))
+            out = prune_step(params, masks, fraction)
+            for w, m, got in zip(params.weights, masks.masks, out.masks):
+                ranked = np.sort(np.abs(w[m == 1]))
+                k = int(np.floor(fraction * ranked.size))
+                assert ranked[k - 1] == ranked[k]
+                assert np.array_equal(got, oracles.brute_force_prune(w, m, fraction))
+
 
 class TestDensity:
     def test_full_masks(self):

@@ -1,3 +1,4 @@
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from ticketsift.reports import (
     write_manifest,
 )
 from ticketsift.trainer import TrainRecord
+
+import oracles
 
 
 def parse_netpbm(path):
@@ -101,6 +104,35 @@ class TestCheckpointFile:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(path)
+
+    def test_matches_field_by_field_writer(self, rng, tmp_path):
+        for dims in ([4, 3, 2], [6, 5, 4, 3], [16, 6, 5, 2]):
+            params = random_params(rng, dims)
+            for arr in params_arrays(params):  # no two arrays alike
+                arr[...] = rng.normal(size=arr.shape)
+            path = tmp_path / "ckpt.tkts"
+            save_checkpoint(path, params)
+            assert path.read_bytes() == reference_tkts(params)
+            save_checkpoint(path, oracles.to_float64(params))  # stored as float32
+            assert path.read_bytes() == reference_tkts(params)
+            save_checkpoint(tmp_path / "again.tkts", load_checkpoint(path))
+            assert (tmp_path / "again.tkts").read_bytes() == path.read_bytes()
+
+
+def reference_tkts(params) -> bytes:
+    """The .tkts bytes written field by field: magic, format version, weight
+    layer count, dims, then per layer the weights and biases and, for hidden
+    layers, gamma, beta, running mean and running variance, each as
+    little-endian float32 in row-major order."""
+    n = len(params.weights)
+    dims = [params.weights[0].shape[0]] + [w.shape[1] for w in params.weights]
+    parts = [b"TKTS", struct.pack("<II", 1, n), struct.pack(f"<{n + 1}I", *dims)]
+    for l in range(n):
+        arrays = [params.weights[l], params.biases[l]]
+        if l < n - 1:
+            arrays += [params.gamma[l], params.beta[l], params.running_mean[l], params.running_var[l]]
+        parts += [np.asarray(a, dtype="<f4").tobytes() for a in arrays]
+    return b"".join(parts)
 
 
 class TestMaskFile:

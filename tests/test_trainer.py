@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ticketsift.datasets import ImageGeometry, generate_synthetic, split_train_val
-from ticketsift.network import MaskSet, ParamGrads, init_params
+from ticketsift.network import MaskSet, ParamGrads, accuracy, init_params, loss_and_grads
 from ticketsift.trainer import (
     AdamState,
     TrainConfig,
@@ -234,3 +234,62 @@ class TestTrain:
         cfg = TrainConfig(batch_size=30, lr=0.1, steps=120, eval_every=30, rewind_step=0, seed=0)
         result = train(params, MaskSet.full(dims), train_ds, val_ds, cfg)
         assert result.best_val > 0.9
+
+
+def reference_train(params, masks, ds, cfg):
+    """train() without augmentation, written per array: the public
+    loss_and_grads (which multiplies the masks in), then p -= lr * g or one
+    Adam update on every trainable array. Masked weights keep their values."""
+    p = params.copy()
+    trainable = lambda obj: list(obj.weights) + list(obj.biases) + list(obj.gamma) + list(obj.beta)
+    m = [np.zeros_like(a) for a in trainable(p)]
+    v = [np.zeros_like(a) for a in trainable(p)]
+    shuffle_rng = np.random.default_rng([cfg.seed, 1])
+    records, step = [], 0
+    while step < cfg.steps:
+        perm = shuffle_rng.permutation(len(ds))
+        for b in range(len(ds) // cfg.batch_size):
+            if step >= cfg.steps:
+                break
+            idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            loss, grads = loss_and_grads(p, masks, ds.images[idx], ds.labels[idx])
+            step += 1
+            c1, c2 = 1.0 - cfg.adam_beta1 ** step, 1.0 - cfg.adam_beta2 ** step
+            for i, (a, g) in enumerate(zip(trainable(p), trainable(grads))):
+                if cfg.optimizer == "sgd":
+                    a -= cfg.lr * g
+                    continue
+                m[i][...] = cfg.adam_beta1 * m[i] + (1.0 - cfg.adam_beta1) * g
+                v[i][...] = cfg.adam_beta2 * v[i] + (1.0 - cfg.adam_beta2) * g * g
+                a -= cfg.lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + cfg.adam_eps)
+            if step % cfg.eval_every == 0 or step == cfg.steps:
+                records.append((step, loss, accuracy(p, masks, ds)))
+    return p, records
+
+
+class TestStoredZeroTraining:
+    """train() stores masked weights as +0.0 and skips the W * M products;
+    everything it computes must equal the per-array reference bit for bit."""
+
+    @pytest.mark.parametrize("optimizer,lr", [("sgd", 0.1), ("adam", 0.01)])
+    def test_matches_per_array_reference(self, rng, optimizer, lr):
+        dims = [16, 6, 5, 2]
+        ds = random_dataset(rng, GEOM, 40, 2)
+        params = init_params(dims, seed=11)
+        masks = MaskSet.full(dims)
+        for m in masks.masks:
+            m[...] = rng.random(m.shape) < 0.6
+        for w in params.weights:
+            assert np.all(w != 0.0)  # masked weights start nonzero
+        cfg = small_config(batch_size=8, steps=12, eval_every=5, optimizer=optimizer, lr=lr)
+        got = train(params, masks, ds, ds, cfg)
+        want, want_records = reference_train(params, masks, ds, cfg)
+        assert [(r.step, r.train_loss, r.val_accuracy) for r in got.records] == want_records
+        for w_got, w_want, m in zip(got.params.weights, want.weights, masks.masks + [None]):
+            keep = np.ones(w_got.shape, bool) if m is None else m == 1
+            assert w_got[keep].tobytes() == w_want[keep].tobytes()
+            assert w_got[~keep].tobytes() == np.zeros((~keep).sum(), np.float32).tobytes()
+        for group in ("biases", "gamma", "beta", "running_mean", "running_var"):
+            for a, b in zip(getattr(got.params, group), getattr(want, group)):
+                assert a.tobytes() == b.tobytes(), group
+        assert not params_equal(got.params, params)  # it trained
