@@ -9,7 +9,6 @@ stderr. Commands are deterministic given the configuration and its seeds.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import struct
 import sys
@@ -23,6 +22,7 @@ from .datasets import (
     CIFAR_RECORD_BYTES,
     IDX_LABEL_MAGIC,
     ImageGeometry,
+    _cluster_labels,
     _read_idx,
     cluster_classes,
     generate_synthetic,
@@ -36,7 +36,7 @@ from .datasets import (
     split_train_val,
     subsample,
 )
-from .network import MaskSet, check_dims, init_params
+from .network import MaskSet, check_dims
 from .observables import (
     binomial_reference,
     connectivity,
@@ -45,8 +45,8 @@ from .observables import (
     locality_map_binned,
     ablation_curve,
 )
-from .pruner import ImpConfig, density, init_seed, iteration_seed, run_imp
-from .trainer import TrainConfig, train
+from .pruner import ImpConfig, run_imp
+from .trainer import TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -85,18 +85,21 @@ def _want(name: str, key: str, value, kinds, allow_none: bool = False):
         if not isinstance(value, str):
             raise ValueError(f"config {name}.{key} must be a string")
         return value
+    if kinds is list:  # of integers
+        if not isinstance(value, list) or not value or any(
+            isinstance(v, bool) or not isinstance(v, int) for v in value
+        ):
+            raise ValueError(f"config {name}.{key} must be a non-empty list of integers")
+        return list(value)
     raise AssertionError(kinds)
 
 
-def _int_list(name: str, key: str, value) -> list:
-    if not isinstance(value, list) or not value or any(
-        isinstance(v, bool) or not isinstance(v, int) for v in value
-    ):
-        raise ValueError(f"config {name}.{key} must be a non-empty list of integers")
-    return list(value)
-
-
 _SYNTH_KEYS = ("width", "height", "channels", "n_classes", "n_per_class", "patch", "noise_sd")
+_TRAIN_KEYS = {"batch_size": int, "lr": float, "optimizer": str, "adam_beta1": float,
+               "adam_beta2": float, "adam_eps": float, "steps": int, "eval_every": int,
+               "rewind_step": int, "seed": int}
+_IMP_KEYS = {"prune_fraction": float, "rewind_step": int, "stop_node_fraction": float,
+             "max_iterations": int, "layers_to_prune": list}
 
 
 def load_run_config(path) -> dict:
@@ -163,21 +166,18 @@ def load_run_config(path) -> dict:
 
     net = raw["network"]
     _check_section("network", net, ("dims",), ("dims",))
-    network = {"dims": check_dims(_int_list("network", "dims", net["dims"]))}
+    network = {"dims": check_dims(_want("network", "dims", net["dims"], list))}
 
     t = raw.get("train", {})
-    _check_section("train", t,
-                   ("batch_size", "lr", "optimizer", "adam_beta1", "adam_beta2",
-                    "adam_eps", "steps", "eval_every", "rewind_step", "seed"), ())
+    _check_section("train", t, _TRAIN_KEYS, ())
+    t = {key: _want("train", key, value, _TRAIN_KEYS[key]) for key, value in t.items()}
     train_cfg = TrainConfig(translate_augment=dataset["translate_augment"], **t)
 
     imp = raw.get("imp")
     if imp is not None:
-        _check_section("imp", imp,
-                       ("prune_fraction", "rewind_step", "stop_node_fraction",
-                        "max_iterations", "layers_to_prune"), ("max_iterations",))
-        if "layers_to_prune" in imp and imp["layers_to_prune"] is not None:
-            imp["layers_to_prune"] = _int_list("imp", "layers_to_prune", imp["layers_to_prune"])
+        _check_section("imp", imp, _IMP_KEYS, ("max_iterations",))
+        imp = {key: _want("imp", key, value, _IMP_KEYS[key], allow_none=key == "layers_to_prune")
+               for key, value in imp.items()}
         ImpConfig(train_cfg=train_cfg, **imp)  # validate now, before any work
 
     out = raw["output"]
@@ -194,19 +194,24 @@ def load_run_config(path) -> dict:
     return cfg
 
 
+def _load_images(d: dict):
+    """The images of a dataset section as its format gives them (idx and cifar
+    files are read, synthetic ones generated), before any transform."""
+    if d["format"] == "idx":
+        return load_idx(d["paths"][0], d["paths"][1])
+    if d["format"] == "cifar":
+        return load_cifar_binary(d["paths"])
+    s = d["synthetic"]
+    geom = ImageGeometry(s["width"], s["height"], s["channels"])
+    return generate_synthetic(
+        geom, s["n_per_class"], tuple(s["patch"]), s["n_classes"], s["noise_sd"], d["seed"]
+    )
+
+
 def build_dataset(cfg: dict):
     """Apply the dataset pipeline: load, cluster, rotate, subsample, split."""
     d = cfg["dataset"]
-    if d["format"] == "idx":
-        ds = load_idx(d["paths"][0], d["paths"][1])
-    elif d["format"] == "cifar":
-        ds = load_cifar_binary(d["paths"])
-    else:
-        s = d["synthetic"]
-        geom = ImageGeometry(s["width"], s["height"], s["channels"])
-        ds = generate_synthetic(
-            geom, s["n_per_class"], tuple(s["patch"]), s["n_classes"], s["noise_sd"], d["seed"]
-        )
+    ds = _load_images(d)
     if d["cluster_mode"] == "random":
         ds = cluster_classes(ds, "random")
     elif d["cluster_mode"] == "semantic":
@@ -244,36 +249,11 @@ def cmd_train(args) -> int:
         raise ValueError(f"{run_dir} already holds a run; train writes only to a new directory")
     train_ds, val_ds = build_dataset(cfg)
     _check_dims_fit(cfg, train_ds)
-    dims = cfg["network"]["dims"]
     train_cfg = _train_config(cfg)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    params = init_params(dims, init_seed(train_cfg.seed))
-    masks = MaskSet.full(dims)
-    cfg0 = TrainConfig(**{**asdict(train_cfg), "seed": iteration_seed(train_cfg.seed, 0)})
-    result = train(params, masks, train_ds, val_ds, cfg0, capture_rewind=True)
-    reports.save_checkpoint(run_dir / "rewind.tkts", result.rewind.params)
-    (run_dir / "iters/000").mkdir(parents=True, exist_ok=True)
-    reports.save_masks(run_dir / "iters/000/masks.tkms", masks)
-    reports.save_checkpoint(run_dir / "iters/000/params.tkts", result.params)
-    reports.export_train_curve_csv(result.records, run_dir / "iters/000/train_curve.csv")
-    per_layer, u = density(masks)
-    reports.write_manifest(run_dir, {
-        "format_version": reports.FORMAT_VERSION,
-        "kind": "train",
-        "pixel_layout": reports.PIXEL_LAYOUT,
-        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "dims": dims,
-        "geometry": asdict(train_ds.geometry),
-        "run_config": cfg,
-        "rewind_file": "rewind.tkts",
-        "stopped_reason": "",
-        "iterations": [{
-            "n": 0, "u_per_layer": per_layer, "u_global": u, "best_val": result.best_val,
-            "mask_file": "iters/000/masks.tkms", "params_file": "iters/000/params.tkts",
-            "curve_file": "iters/000/train_curve.csv",
-        }],
-    })
-    print(f"trained {train_cfg.steps} steps; best validation accuracy: {result.best_val}")
+    # the dense run is iteration 0 of an IMP run that prunes nothing
+    imp_cfg = ImpConfig(train_cfg=train_cfg, rewind_step=train_cfg.rewind_step, max_iterations=0)
+    run = run_imp(cfg["network"]["dims"], train_ds, val_ds, imp_cfg, run_dir, run_config=cfg)
+    print(f"trained {train_cfg.steps} steps; best validation accuracy: {run.iterations[0].best_val}")
     return 0
 
 
@@ -470,11 +450,7 @@ def cmd_synth(args) -> int:
     d = cfg["dataset"]
     if d["format"] != "synthetic":
         raise ValueError("synth needs a config with dataset.format = synthetic")
-    s = d["synthetic"]
-    geom = ImageGeometry(s["width"], s["height"], s["channels"])
-    ds = generate_synthetic(
-        geom, s["n_per_class"], tuple(s["patch"]), s["n_classes"], s["noise_sd"], d["seed"]
-    )
+    ds = _load_images(d)
     if args.out_cifar:
         save_cifar_binary(ds, args.out_cifar)
         print(f"wrote {len(ds)} images to {args.out_cifar}")
@@ -486,23 +462,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _map_labels(labels: np.ndarray, mode: str, mapping_path) -> np.ndarray:
-    if mode == "random":
-        return labels % 10
-    mapping = load_class_mapping(mapping_path) if mapping_path else None
-    if mapping is None:
-        raise ValueError("semantic clustering needs --mapping")
-    if labels.size and int(labels.max()) >= len(mapping.table):
-        raise ValueError(f"mapping covers labels < {len(mapping.table)}, found {int(labels.max())}")
-    return np.asarray(mapping.table, dtype=np.int64)[labels]
-
-
 def cmd_cluster(args) -> int:
+    if args.mode == "semantic" and not args.mapping:
+        raise ValueError("semantic clustering needs --mapping")
+    mapping = load_class_mapping(args.mapping) if args.mode == "semantic" else None
     if args.format == "idx":
         if not args.labels:
             raise ValueError("idx clustering needs --labels")
         labels = _read_idx(args.labels, IDX_LABEL_MAGIC, 1).astype(np.int64)
-        mapped = _map_labels(labels, args.mode, args.mapping)
+        mapped = _cluster_labels(labels, args.mode, mapping)[0]
         with open(args.out, "wb") as f:
             f.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.size))
             f.write(mapped.astype(np.uint8).tobytes())
@@ -513,7 +481,7 @@ def cmd_cluster(args) -> int:
         if len(data) == 0 or len(data) % CIFAR_RECORD_BYTES != 0:
             raise ValueError(f"{args.data} is not a CIFAR binary batch")
         recs = np.frombuffer(data, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES).copy()
-        recs[:, 0] = _map_labels(recs[:, 0].astype(np.int64), args.mode, args.mapping).astype(np.uint8)
+        recs[:, 0] = _cluster_labels(recs[:, 0].astype(np.int64), args.mode, mapping)[0].astype(np.uint8)
         Path(args.out).write_bytes(recs.tobytes())
     print(f"wrote {args.out}")
     return 0
@@ -531,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="dense training run into a new directory")
+    p = sub.add_parser("train", help="dense run (imp iteration 0) into a new directory")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_train)
 

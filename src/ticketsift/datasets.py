@@ -293,24 +293,25 @@ def load_class_mapping(path) -> ClassMapping:
     return ClassMapping(n_macro=int(data["n_macro"]), table=tuple(int(t) for t in data["table"]))
 
 
+def _cluster_labels(labels: np.ndarray, mode: str, mapping: ClassMapping | None):
+    """(macro labels, macro class count) of int64 labels; see cluster_classes."""
+    if mode == "random":
+        return labels % 10, 10
+    if mode != "semantic":
+        raise ValueError(f"unknown clustering mode {mode!r}")
+    if mapping is None:
+        raise ValueError("semantic clustering requires a class mapping")
+    if labels.size and int(labels.max()) >= len(mapping.table):
+        raise ValueError(
+            f"mapping covers labels < {len(mapping.table)} "
+            f"but the data contains label {int(labels.max())}"
+        )
+    return np.asarray(mapping.table, dtype=np.int64)[labels], mapping.n_macro
+
+
 def cluster_classes(ds: ImageDataset, mode: str, mapping: ClassMapping | None = None) -> ImageDataset:
     """Coarsen labels: mode "random" takes label mod 10, "semantic" uses a table."""
-    if mode == "random":
-        new_labels = ds.labels % 10
-        n_macro = 10
-    elif mode == "semantic":
-        if mapping is None:
-            raise ValueError("semantic clustering requires a class mapping")
-        if ds.labels.size and int(ds.labels.max()) >= len(mapping.table):
-            raise ValueError(
-                f"mapping covers labels < {len(mapping.table)} "
-                f"but dataset contains label {int(ds.labels.max())}"
-            )
-        table = np.asarray(mapping.table, dtype=np.int64)
-        new_labels = table[ds.labels]
-        n_macro = mapping.n_macro
-    else:
-        raise ValueError(f"unknown clustering mode {mode!r}")
+    new_labels, n_macro = _cluster_labels(ds.labels, mode, mapping)
     return ImageDataset(ds.geometry, ds.images, new_labels, n_macro, ds.valid_mask)
 
 

@@ -40,8 +40,8 @@ class ImpConfig:
             raise ValueError("stop_node_fraction must lie in (0, 1]")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if self.rewind_step < 0:
-            raise ValueError("rewind_step must be >= 0")
+        if not 0 <= self.rewind_step <= self.train_cfg.steps:
+            raise ValueError("rewind_step must lie in [0, train_cfg.steps]")
 
 
 def prune_step(params: ParamSet, masks: MaskSet, fraction: float, layers=None) -> MaskSet:

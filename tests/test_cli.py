@@ -104,6 +104,34 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="prune_fraction"):
             load_run_config(write_config(tmp_path / "c.json", raw))
 
+    @pytest.mark.parametrize("command", ["train", "imp"])
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "batch_size", 8.5),
+        ("train", "eval_every", 2.5),
+        ("train", "seed", True),
+        ("train", "steps", 6.0),
+        ("train", "lr", "0.1"),
+        ("train", "optimizer", 1),
+        ("train", "adam_eps", None),
+        ("imp", "max_iterations", 1.5),
+        ("imp", "rewind_step", False),
+        ("imp", "prune_fraction", "0.3"),
+        ("imp", "layers_to_prune", [1.0]),
+    ])
+    def test_section_types_checked(self, tmp_path, capsys, command, section, key, value):
+        raw = base_config(tmp_path / "run")
+        raw[section][key] = value
+        assert main([command, "--config", write_config(tmp_path / "c.json", raw)]) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_imp_rewind_step_beyond_training_rejected(self, tmp_path, capsys):
+        raw = base_config(tmp_path / "run")
+        raw["imp"]["rewind_step"] = 50
+        assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 1
+        assert "rewind_step" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{nope")
@@ -153,7 +181,7 @@ class TestTrainCommand:
         assert main(["train", "--config", config]) == 0
         assert "best validation accuracy" in capsys.readouterr().out
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["kind"] == "train"
+        assert manifest["kind"] == "imp"
         assert len(manifest["iterations"]) == 1
         assert isinstance(manifest["iterations"][0]["best_val"], float)
         ckpt = load_checkpoint(run_dir / "rewind.tkts")
@@ -197,6 +225,44 @@ class TestTrainCommand:
         del raw["dataset"]["synthetic"]
         assert main(["train", "--config", write_config(tmp_path / "c.json", raw)]) == 1
         assert not (tmp_path / "run").exists()
+
+    def test_equals_imp_iteration_zero(self, imp_run, tmp_path):
+        config = write_config(tmp_path / "c.json", base_config(tmp_path / "run"))
+        assert main(["train", "--config", config]) == 0
+        for rel in ("rewind.tkts", "iters/000/masks.tkms", "iters/000/params.tkts",
+                    "iters/000/train_curve.csv"):
+            assert (tmp_path / "run" / rel).read_bytes() == (imp_run[0] / rel).read_bytes()
+
+    def test_imp_extends_matching_train_run(self, imp_run, tmp_path, capsys):
+        raw = base_config(tmp_path / "run")
+        config = write_config(tmp_path / "c.json", raw)
+        assert main(["train", "--config", config]) == 0
+        other = dict(raw, imp={**raw["imp"], "prune_fraction": 0.5})
+        assert main(["imp", "--config", write_config(tmp_path / "other.json", other)]) == 1
+        assert "different configuration" in capsys.readouterr().err
+        assert main(["imp", "--config", config]) == 0
+        assert "completed 3 iterations" in capsys.readouterr().out
+        for n in (1, 2):
+            for name in ("masks.tkms", "params.tkts", "train_curve.csv"):
+                rel = f"iters/{n:03d}/{name}"
+                assert (tmp_path / "run" / rel).read_bytes() == (imp_run[0] / rel).read_bytes()
+        assert (tmp_path / "run/imp_curve.csv").read_bytes() == (imp_run[0] / "imp_curve.csv").read_bytes()
+
+    def test_imp_refuses_legacy_train_manifest(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json", base_config(tmp_path / "run"))
+        assert main(["train", "--config", config]) == 0
+        manifest_path = tmp_path / "run/manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        legacy = {key: manifest[key] for key in (
+            "format_version", "pixel_layout", "created_at", "dims", "geometry", "run_config",
+            "rewind_file", "iterations")}
+        legacy.update(kind="train", stopped_reason="")  # as dense runs were once written
+        manifest_path.write_text(json.dumps(legacy, indent=2) + "\n")
+        before = manifest_path.read_bytes()
+        assert main(["imp", "--config", config]) == 1
+        assert "does not hold a pruning run" in capsys.readouterr().err
+        assert manifest_path.read_bytes() == before
+        assert not (tmp_path / "run/iters/001").exists()
 
     def test_refuses_existing_imp_run(self, tmp_path, capsys):
         raw = base_config(tmp_path / "run")
@@ -471,6 +537,17 @@ class TestClusterCommand:
         assert main(["cluster", "--format", "idx", "--mode", "semantic",
                      "--labels", str(src), "--out", str(tmp_path / "o.idx")]) == 1
         assert "mapping" in capsys.readouterr().err
+
+    def test_semantic_label_beyond_mapping_rejected(self, tmp_path, capsys):
+        src, out = tmp_path / "in.idx", tmp_path / "out.idx"
+        write_idx_labels(src, [0, 1, 7])
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"n_macro": 2, "table": [0, 1, 1, 0]}))
+        assert main(["cluster", "--format", "idx", "--mode", "semantic",
+                     "--labels", str(src), "--mapping", str(mapping), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "labels < 4" in err and "7" in err
+        assert not out.exists()
 
     def test_idx_without_labels_rejected(self, tmp_path, capsys):
         assert main(["cluster", "--format", "idx", "--mode", "random",
