@@ -178,6 +178,11 @@ def load_run_config(path) -> dict:
         _check_section("imp", imp, _IMP_KEYS, ("max_iterations",))
         imp = {key: _want("imp", key, value, _IMP_KEYS[key], allow_none=key == "layers_to_prune")
                for key, value in imp.items()}
+        rewind_step = imp.get("rewind_step", ImpConfig.rewind_step)
+        if not 0 <= rewind_step <= train_cfg.steps:
+            given = "" if "rewind_step" in imp else " (the default, as the key is omitted)"
+            raise ValueError(f"config imp.rewind_step = {rewind_step}{given} must lie in "
+                             f"[0, train.steps = {train_cfg.steps}]")
         ImpConfig(train_cfg=train_cfg, **imp)  # validate now, before any work
 
     out = raw["output"]
@@ -388,14 +393,29 @@ def cmd_analyze(args) -> int:
     raise AssertionError(obs)
 
 
+def _validation_split(run_dir: Path, manifest: dict):
+    """The validation split the run evaluated on: its stored file, or, for runs
+    made before the split was stored, a rebuild from the run configuration."""
+    if not manifest.get("val_file"):
+        if not manifest.get("run_config"):
+            raise ValueError("manifest carries no run configuration; cannot rebuild the dataset")
+        return build_dataset(manifest["run_config"])[1]
+    val_ds = reports.load_split(run_dir / manifest["val_file"])
+    geom = _manifest_geometry(manifest)
+    if val_ds.geometry != geom:
+        raise ValueError(f"{manifest['val_file']} holds {val_ds.geometry} images, the run {geom}")
+    if val_ds.n_classes != manifest["dims"][-1]:
+        raise ValueError(f"{manifest['val_file']} holds {val_ds.n_classes} classes, "
+                         f"the network {manifest['dims'][-1]} outputs")
+    return val_ds
+
+
 def cmd_ablate(args) -> int:
     run_dir = Path(args.run_dir)
     manifest, entry = _load_iteration(run_dir, args.iteration)
-    if not manifest.get("run_config"):
-        raise ValueError("manifest carries no run configuration; cannot rebuild the dataset")
+    val_ds = _validation_split(run_dir, manifest)
     masks = reports.load_masks(run_dir / entry["mask_file"])
     params = reports.load_checkpoint(run_dir / entry["params_file"])
-    _, val_ds = build_dataset(manifest["run_config"])
     if len(val_ds) == 0:
         raise ValueError("run has no validation split to evaluate on")
     n_nodes = masks.masks[0].shape[1]

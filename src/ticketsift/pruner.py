@@ -181,7 +181,7 @@ def _persist_iteration(run_dir: Path, it: ImpIteration, params: ParamSet, record
 
 
 def _write_run_manifest(run_dir: Path, dims, geometry, cfg: ImpConfig, iterations, stopped_reason,
-                        run_config) -> None:
+                        run_config, val_file) -> None:
     data = {
         "format_version": reports.FORMAT_VERSION,
         "kind": "imp",
@@ -192,6 +192,7 @@ def _write_run_manifest(run_dir: Path, dims, geometry, cfg: ImpConfig, iteration
         "imp_config": asdict(cfg),
         "run_config": run_config,
         "rewind_file": "rewind.tkts",
+        "val_file": val_file,
         "stopped_reason": stopped_reason,
         "iterations": [
             {
@@ -235,7 +236,8 @@ def _resume_state(run_dir: Path, dims, cfg: ImpConfig, run_config):
             )
         )
     rewind_ckpt = Checkpoint(cfg.rewind_step, reports.load_checkpoint(run_dir / manifest["rewind_file"]))
-    return iterations, rewind_ckpt, manifest.get("stopped_reason", ""), manifest.get("run_config")
+    return (iterations, rewind_ckpt, manifest.get("stopped_reason", ""), manifest.get("run_config"),
+            manifest.get("val_file"))
 
 
 def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) -> ImpRun:
@@ -248,7 +250,9 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     the dims and IMP settings it was made with and, when run_config is given,
     the same run configuration apart from output.run_dir; otherwise it
     raises ValueError. A resume without run_config keeps the recorded one.
-    The manifest records the image geometry of train_ds.
+    The manifest records the image geometry of train_ds. A new run also
+    stores val_ds in val.tkds, which the analyses evaluate on; a resume
+    leaves that file as it is (runs made before it existed have none).
     """
     dims = check_dims(dims)
     run_dir = Path(run_dir)
@@ -256,12 +260,15 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     master = cfg.train_cfg.seed
 
     if (run_dir / "manifest.json").is_file():
-        iterations, rewind_ckpt, stopped_reason, recorded = _resume_state(run_dir, dims, cfg, run_config)
+        iterations, rewind_ckpt, stopped_reason, recorded, val_file = _resume_state(
+            run_dir, dims, cfg, run_config)
         run_config = recorded if run_config is None else run_config  # keep the recorded configuration
         if stopped_reason == "node_fraction" or len(iterations) > cfg.max_iterations:
             return ImpRun(dims, cfg, iterations, rewind_ckpt, stopped_reason, run_dir)
         final_params = reports.load_checkpoint(run_dir / iterations[-1].params_file)
     else:
+        val_file = "val.tkds"
+        reports.save_split(run_dir / val_file, val_ds)
         iterations = []
         params0 = init_params(dims, init_seed(master))
         masks0 = MaskSet.full(dims)
@@ -275,14 +282,16 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
         _persist_iteration(run_dir, it0, result.params, result.records)
         iterations.append(it0)
         stopped_reason = "max_iterations"
-        _write_run_manifest(run_dir, dims, train_ds.geometry, cfg, iterations, stopped_reason, run_config)
+        _write_run_manifest(run_dir, dims, train_ds.geometry, cfg, iterations, stopped_reason,
+                            run_config, val_file)
         final_params = result.params
 
     for n in range(len(iterations), cfg.max_iterations + 1):
         masks = prune_step(final_params, iterations[-1].masks, cfg.prune_fraction, cfg.layers_to_prune)
         if stop_condition(masks, cfg.stop_node_fraction):
             stopped_reason = "node_fraction"
-            _write_run_manifest(run_dir, dims, train_ds.geometry, cfg, iterations, stopped_reason, run_config)
+            _write_run_manifest(run_dir, dims, train_ds.geometry, cfg, iterations, stopped_reason,
+                                run_config, val_file)
             break
         start = rewind(final_params, rewind_ckpt, masks)
         cfg_n = replace(cfg.train_cfg, seed=iteration_seed(master, n))
@@ -292,7 +301,8 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
         it = ImpIteration(n, per_layer, u, result.best_val, masks, mask_file, params_file, curve_file)
         _persist_iteration(run_dir, it, result.params, result.records)
         iterations.append(it)
-        _write_run_manifest(run_dir, dims, train_ds.geometry, cfg, iterations, stopped_reason, run_config)
+        _write_run_manifest(run_dir, dims, train_ds.geometry, cfg, iterations, stopped_reason,
+                            run_config, val_file)
         final_params = result.params
 
     return ImpRun(dims, cfg, iterations, rewind_ckpt, stopped_reason, run_dir)

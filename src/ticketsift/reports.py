@@ -1,10 +1,11 @@
-"""Binary checkpoint/mask files, netpbm image exports, CSV curves, and the
-run-directory manifest.
+"""Binary checkpoint/mask/split files, netpbm image exports, CSV curves, and
+the run-directory manifest.
 
-Both binary formats are little-endian with a 4-byte magic and a u32 format
+The binary formats are little-endian with a 4-byte magic and a u32 format
 version. Checkpoints store float32 arrays row-major; mask files store each
 layer bit-packed LSB-first, padded to a byte boundary, with a per-layer
-surviving-weight count that is verified against the payload popcount on load.
+surviving-weight count that is verified against the payload popcount on load;
+split files store a dataset's float32 images row-major, then its int64 labels.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .datasets import ImageDataset, ImageGeometry
 from .network import MaskSet, ParamSet, _size
 
 CHECKPOINT_MAGIC = b"TKTS"
 MASK_MAGIC = b"TKMS"
+SPLIT_MAGIC = b"TKDS"
 FORMAT_VERSION = 1
 PIXEL_LAYOUT = "index = c*H*W + y*W + x"
 
@@ -111,6 +114,32 @@ def load_masks(path) -> MaskSet:
         masks.append(flat.reshape(dims[i], dims[i + 1]))
     r.finish()
     return MaskSet(masks)
+
+
+def save_split(path, ds: ImageDataset) -> None:
+    """Write a dataset split: a header (width, height, channels, n, n_classes),
+    the float32 images row-major, then the int64 labels. valid_mask is not
+    stored."""
+    g = ds.geometry
+    header = SPLIT_MAGIC + struct.pack(
+        "<6I", FORMAT_VERSION, g.width, g.height, g.channels, len(ds), ds.n_classes
+    )
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(ds.images.astype("<f4", copy=False).tobytes())
+        f.write(ds.labels.astype("<i8", copy=False).tobytes())
+
+
+def load_split(path) -> ImageDataset:
+    """Read a save_split file; ImageDataset validates pixel and label ranges."""
+    r = _Reader(Path(path).read_bytes(), path)
+    _check_header(r, SPLIT_MAGIC)
+    width, height, channels, n, n_classes = r.unpack("<5I")
+    geom = ImageGeometry(width, height, channels)
+    images = np.frombuffer(r.take(4 * n * geom.input_size), dtype="<f4")
+    labels = np.frombuffer(r.take(8 * n), dtype="<i8")
+    r.finish()
+    return ImageDataset(geom, images.reshape(n, geom.input_size).copy(), labels.copy(), n_classes)
 
 
 def _image_planes(row: np.ndarray, geom) -> np.ndarray:
@@ -255,9 +284,7 @@ def load_manifest(run_dir) -> dict:
     if not path.is_file():
         raise ValueError(f"no manifest.json in {run_dir}")
     data = json.loads(path.read_text())
-    referenced = []
-    if data.get("rewind_file"):
-        referenced.append(data["rewind_file"])
+    referenced = [data[key] for key in ("rewind_file", "val_file") if data.get(key)]
     for it in data.get("iterations", []):
         for key in ("mask_file", "params_file", "curve_file"):
             if it.get(key):

@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from ticketsift.datasets import ImageDataset, ImageGeometry
+# One BLAS thread unless the environment says otherwise, set before numpy is
+# imported: the desk runs are fastest as parallel one-thread processes, and a
+# run's bytes were measured equal at one and two threads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from ticketsift.datasets import ImageDataset, ImageGeometry  # noqa: E402
 
 
 @pytest.fixture

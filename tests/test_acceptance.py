@@ -1,12 +1,15 @@
 """End-to-end acceptance checks, one test per shipping requirement.
 
 Each test is self-contained and prints one pass/fail line under pytest -v.
-The two desk-scale experiments (test_09, test_12) train real networks and
-together take a few minutes; everything else runs in seconds.
+The two desk-scale experiments (test_09, test_12) train four real networks,
+in parallel worker processes, and take about two minutes on two cores;
+everything else runs in seconds.
 """
 
 import json
 import math
+import multiprocessing
+import os
 import time
 from pathlib import Path
 
@@ -90,15 +93,29 @@ def desk_imp_run(run_dir, seed, destroy_labels=False):
 
 
 @pytest.fixture(scope="module")
-def desk_runs(tmp_path_factory):
+def desk_results(tmp_path_factory):
+    """The three desk runs and the destroyed-label run, computed in parallel.
+
+    Each run is deterministic, so its numbers do not depend on the worker
+    process that computes it. Workers start from a fresh import (spawn) and
+    inherit the BLAS thread setting of conftest.py.
+    """
     root = tmp_path_factory.mktemp("desk")
-    return [desk_imp_run(root / f"seed{s}", s) for s in DESK_SEEDS]
+    jobs = [(root / f"seed{s}", s) for s in DESK_SEEDS]
+    jobs.append((root / "destroyed", DESK_SEEDS[0], True))
+    ctx = multiprocessing.get_context("spawn")
+    with ctx.Pool(min(4, os.cpu_count() or 1)) as pool:
+        return pool.starmap(desk_imp_run, jobs)
 
 
 @pytest.fixture(scope="module")
-def destroyed_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("destroyed")
-    return desk_imp_run(root / "seed0", DESK_SEEDS[0], destroy_labels=True)
+def desk_runs(desk_results):
+    return desk_results[: len(DESK_SEEDS)]
+
+
+@pytest.fixture(scope="module")
+def destroyed_run(desk_results):
+    return desk_results[len(DESK_SEEDS)]
 
 
 # ---------------------------------------------------------------------------

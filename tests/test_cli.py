@@ -9,7 +9,7 @@ from ticketsift.cli import build_dataset, load_run_config, main
 from ticketsift.datasets import ImageGeometry, load_cifar_binary, load_idx, save_idx
 from ticketsift.observables import locality_map
 from ticketsift.pruner import ImpConfig, run_imp
-from ticketsift.reports import load_checkpoint, load_locality_csv, load_masks
+from ticketsift.reports import load_checkpoint, load_locality_csv, load_masks, load_split, save_split
 from ticketsift.trainer import TrainConfig
 
 from conftest import random_dataset
@@ -130,6 +130,17 @@ class TestRunConfig:
         raw["imp"]["rewind_step"] = 50
         assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 1
         assert "rewind_step" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_omitted_imp_rewind_step_named(self, tmp_path, capsys):
+        raw = base_config(tmp_path / "run")
+        raw["train"]["steps"] = 20
+        del raw["imp"]["rewind_step"]
+        assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 1
+        err = capsys.readouterr().err
+        assert "imp.rewind_step = 1000" in err
+        assert "default" in err
+        assert "train.steps = 20" in err
         assert not (tmp_path / "run").exists()
 
     def test_invalid_json_reported(self, tmp_path):
@@ -457,6 +468,83 @@ class TestAblateCommand:
         run_dir, _ = imp_run
         assert main(["ablate", str(run_dir), "--iteration", "0", "--counts", "99"]) == 1
         assert "99" in capsys.readouterr().err
+
+
+    def test_stored_split_is_the_configured_one(self, imp_run, tmp_path):
+        run_dir, config = imp_run
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["val_file"] == "val.tkds"
+        stored = load_split(run_dir / "val.tkds")
+        _, val_ds = build_dataset(load_run_config(config))
+        assert stored.geometry == val_ds.geometry
+        assert stored.n_classes == val_ds.n_classes
+        assert stored.images.tobytes() == val_ds.images.tobytes()
+        assert np.array_equal(stored.labels, val_ds.labels)
+        config_b = write_config(tmp_path / "c.json", base_config(tmp_path / "run"))
+        assert main(["imp", "--config", config_b]) == 0
+        assert (tmp_path / "run/val.tkds").read_bytes() == (run_dir / "val.tkds").read_bytes()
+
+    def test_idx_run_ablates_from_elsewhere_without_its_files(self, tmp_path, rng, monkeypatch):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        save_idx(random_dataset(rng, ImageGeometry(4, 4, 1), 48, 2),
+                 tmp_path / "a/img.idx", tmp_path / "a/lbl.idx")
+        raw = base_config("run")
+        raw["dataset"] = {"format": "idx", "paths": ["img.idx", "lbl.idx"], "n_val": 16}
+        raw["imp"]["max_iterations"] = 1
+        monkeypatch.chdir(tmp_path / "a")
+        assert main(["imp", "--config", write_config("c.json", raw)]) == 0
+        monkeypatch.chdir(tmp_path / "b")
+        csv = tmp_path / "a/run/analysis/iter001_ablation.csv"
+        assert main(["ablate", "../a/run", "--iteration", "1"]) == 0
+        first = csv.read_bytes()
+        (tmp_path / "a/img.idx").unlink()
+        (tmp_path / "a/lbl.idx").unlink()
+        assert main(["ablate", "../a/run", "--iteration", "1"]) == 0
+        assert csv.read_bytes() == first
+
+    def test_library_run_without_run_config(self, tmp_path, rng):
+        ds = random_dataset(rng, ImageGeometry(4, 4, 1), 24, 2)
+        train_cfg = TrainConfig(batch_size=8, lr=0.1, steps=6, eval_every=3, rewind_step=2, seed=5)
+        run_imp(DIMS, ds, ds, ImpConfig(train_cfg=train_cfg, rewind_step=2, max_iterations=1),
+                tmp_path / "run")
+        assert main(["ablate", str(tmp_path / "run"), "--iteration", "1"]) == 0
+
+    def test_legacy_manifest_rebuilds_the_same_split(self, tmp_path):
+        raw = base_config(tmp_path / "run")
+        raw["imp"]["max_iterations"] = 1
+        assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 0
+        argv = ["ablate", str(tmp_path / "run"), "--iteration", "1", "--counts", "0,2,5,8"]
+        csv = tmp_path / "run/analysis/iter001_ablation.csv"
+        assert main(argv) == 0
+        stored = csv.read_bytes()
+        manifest_path = tmp_path / "run/manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["val_file"]  # as runs were written before the split was stored
+        manifest_path.write_text(json.dumps(manifest))
+        (tmp_path / "run/val.tkds").unlink()
+        csv.unlink()
+        assert main(argv) == 0
+        assert csv.read_bytes() == stored
+
+    def test_split_not_matching_the_run_rejected(self, tmp_path, rng, capsys):
+        raw = base_config(tmp_path / "run")
+        raw["imp"]["max_iterations"] = 0
+        assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 0
+        for geom, n_classes, match in [(ImageGeometry(4, 4, 1), 3, "3 classes"),
+                                       (ImageGeometry(2, 8, 1), 2, "width=2")]:
+            save_split(tmp_path / "run/val.tkds", random_dataset(rng, geom, 16, n_classes))
+            assert main(["ablate", str(tmp_path / "run"), "--iteration", "0"]) == 1
+            assert match in capsys.readouterr().err
+
+    def test_empty_validation_split_rejected(self, tmp_path, capsys):
+        raw = base_config(tmp_path / "run")
+        raw["dataset"]["n_val"] = 0
+        raw["imp"]["max_iterations"] = 0
+        assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 0
+        assert len(load_split(tmp_path / "run/val.tkds")) == 0
+        assert main(["ablate", str(tmp_path / "run"), "--iteration", "0"]) == 1
+        assert "run has no validation split to evaluate on" in capsys.readouterr().err
 
 
 class TestExportMasksCommand:

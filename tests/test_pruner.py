@@ -16,7 +16,7 @@ from ticketsift.pruner import (
     run_imp,
     stop_condition,
 )
-from ticketsift.reports import load_checkpoint, load_masks
+from ticketsift.reports import load_checkpoint, load_masks, load_split
 from ticketsift.trainer import Checkpoint, TrainConfig
 
 import oracles
@@ -320,6 +320,19 @@ class TestRunImp:
         for n in range(3):
             rel = f"iters/{n:03d}/masks.tkms"
             assert (tmp_path / "oneshot" / rel).read_bytes() == (tmp_path / "resumed" / rel).read_bytes()
+
+    def test_stores_validation_split_once(self, rng, tmp_path):
+        ds = self.make_data(rng)
+        val = self.make_data(rng, n=10)
+        run_imp(DIMS, ds, val, tiny_imp_config(max_iterations=1), tmp_path / "run")
+        stored = load_split(tmp_path / "run/val.tkds")
+        assert stored.images.tobytes() == val.images.tobytes()
+        assert np.array_equal(stored.labels, val.labels)
+        before = (tmp_path / "run/val.tkds").read_bytes()
+        run_imp(DIMS, ds, self.make_data(rng, n=12), tiny_imp_config(), tmp_path / "run")
+        assert (tmp_path / "run/val.tkds").read_bytes() == before
+        manifest = json.loads((tmp_path / "run/manifest.json").read_text())
+        assert manifest["val_file"] == "val.tkds"
 
     def test_resume_with_changed_config_rejected(self, rng, tmp_path):
         ds = self.make_data(rng)

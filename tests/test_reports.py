@@ -17,13 +17,16 @@ from ticketsift.reports import (
     load_locality_csv,
     load_manifest,
     load_masks,
+    load_split,
     save_checkpoint,
     save_masks,
+    save_split,
     write_manifest,
 )
 from ticketsift.trainer import TrainRecord
 
 import oracles
+from conftest import random_dataset
 
 
 def parse_netpbm(path):
@@ -179,6 +182,41 @@ class TestMaskFile:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="magic"):
             load_masks(path)
+
+
+class TestSplitFile:
+    @pytest.mark.parametrize("geom,n", [
+        (ImageGeometry(4, 3, 1), 7), (ImageGeometry(3, 2, 3), 5), (ImageGeometry(4, 4, 1), 0),
+    ])
+    def test_round_trip(self, rng, tmp_path, geom, n):
+        ds = random_dataset(rng, geom, n, 3)
+        save_split(tmp_path / "v.tkds", ds)
+        back = load_split(tmp_path / "v.tkds")
+        assert back.geometry == geom
+        assert back.n_classes == 3
+        assert back.images.tobytes() == ds.images.tobytes()
+        assert np.array_equal(back.labels, ds.labels)
+        assert back.labels.dtype == np.int64
+        size = 4 + 4 * 6 + n * (4 * geom.input_size + 8)
+        assert (tmp_path / "v.tkds").stat().st_size == size
+
+    def test_damaged_files_rejected(self, rng, tmp_path):
+        path = tmp_path / "v.tkds"
+        save_split(path, random_dataset(rng, ImageGeometry(4, 3, 1), 5, 2))
+        good = path.read_bytes()
+        for data, match in [(good[:-1], "truncated"), (good + b"\0", "trailing"),
+                            (b"TKTS" + good[4:], "bad magic")]:
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match=match):
+                load_split(path)
+
+    def test_out_of_range_content_rejected(self, rng, tmp_path):
+        path = tmp_path / "v.tkds"
+        ds = random_dataset(rng, ImageGeometry(4, 3, 1), 5, 2)
+        ds.images[2, 3] = 1.5
+        save_split(path, ds)
+        with pytest.raises(ValueError, match="pixel values"):
+            load_split(path)
 
 
 class TestMaskImage:
@@ -337,6 +375,13 @@ class TestManifest:
     def test_missing_referenced_file_rejected(self, tmp_path):
         write_manifest(tmp_path, {"rewind_file": "gone.tkts", "iterations": []})
         with pytest.raises(ValueError, match="missing file"):
+            load_manifest(tmp_path)
+
+    def test_missing_split_file_rejected(self, tmp_path):
+        (tmp_path / "rewind.tkts").write_bytes(b"x")
+        write_manifest(tmp_path, {"rewind_file": "rewind.tkts", "val_file": "val.tkds",
+                                  "iterations": []})
+        with pytest.raises(ValueError, match="missing file val.tkds"):
             load_manifest(tmp_path)
 
     def test_absent_manifest_rejected(self, tmp_path):
