@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import struct
 import sys
 from dataclasses import asdict
@@ -45,7 +46,7 @@ from .observables import (
     locality_map_binned,
     ablation_curve,
 )
-from .pruner import ImpConfig, run_imp
+from .pruner import ImpConfig, imp_settings, run_imp
 from .trainer import TrainConfig
 
 
@@ -78,8 +79,8 @@ def _want(name: str, key: str, value, kinds, allow_none: bool = False):
             raise ValueError(f"config {name}.{key} must be an integer")
         return value
     if kinds is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"config {name}.{key} must be a number")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"config {name}.{key} must be a finite number")
         return float(value)
     if kinds is str:
         if not isinstance(value, str):
@@ -178,25 +179,26 @@ def load_run_config(path) -> dict:
         _check_section("imp", imp, _IMP_KEYS, ("max_iterations",))
         imp = {key: _want("imp", key, value, _IMP_KEYS[key], allow_none=key == "layers_to_prune")
                for key, value in imp.items()}
-        rewind_step = imp.get("rewind_step", ImpConfig.rewind_step)
-        if not 0 <= rewind_step <= train_cfg.steps:
-            given = "" if "rewind_step" in imp else " (the default, as the key is omitted)"
-            raise ValueError(f"config imp.rewind_step = {rewind_step}{given} must lie in "
+        if not 0 <= imp.get("rewind_step", 0) <= train_cfg.steps:
+            raise ValueError(f"config imp.rewind_step = {imp['rewind_step']} must lie in "
                              f"[0, train.steps = {train_cfg.steps}]")
-        ImpConfig(train_cfg=train_cfg, **imp)  # validate now, before any work
+        imp = _section(ImpConfig(train_cfg=train_cfg, **imp), "train_cfg")  # defaults filled
 
     out = raw["output"]
     _check_section("output", out, ("run_dir",), ("run_dir",))
 
-    cfg = {
+    return {
         "dataset": dataset,
         "network": network,
-        "train": asdict(train_cfg),
+        "train": _section(train_cfg, "translate_augment"),  # that lives in the dataset section
         "imp": imp,
         "output": {"run_dir": _want("output", "run_dir", out["run_dir"], str)},
     }
-    cfg["train"].pop("translate_augment")  # lives in the dataset section
-    return cfg
+
+
+def _section(settings, omit: str) -> dict:
+    """A normalized config section: the fields of a settings dataclass but one."""
+    return {key: value for key, value in asdict(settings).items() if key != omit}
 
 
 def _load_images(d: dict):
@@ -229,18 +231,11 @@ def build_dataset(cfg: dict):
     return train_ds, val_ds
 
 
-def _check_dims_fit(cfg: dict, train_ds) -> None:
-    dims = cfg["network"]["dims"]
-    if dims[0] != train_ds.geometry.input_size:
-        raise ValueError(
-            f"network input width {dims[0]} != image size {train_ds.geometry.input_size}"
-        )
-    if dims[-1] != train_ds.n_classes:
-        raise ValueError(f"network output width {dims[-1]} != {train_ds.n_classes} classes")
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(translate_augment=cfg["dataset"]["translate_augment"], **cfg["train"])
+def _run(cfg: dict):
+    """The IMP run a normalized run configuration describes."""
+    train_ds, val_ds = build_dataset(cfg)
+    dims, imp_cfg = imp_settings(cfg)
+    return run_imp(dims, train_ds, val_ds, imp_cfg, cfg["output"]["run_dir"], run_config=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +247,10 @@ def cmd_train(args) -> int:
     run_dir = Path(cfg["output"]["run_dir"])
     if (run_dir / "manifest.json").is_file():
         raise ValueError(f"{run_dir} already holds a run; train writes only to a new directory")
-    train_ds, val_ds = build_dataset(cfg)
-    _check_dims_fit(cfg, train_ds)
-    train_cfg = _train_config(cfg)
-    # the dense run is iteration 0 of an IMP run that prunes nothing
-    imp_cfg = ImpConfig(train_cfg=train_cfg, rewind_step=train_cfg.rewind_step, max_iterations=0)
-    run = run_imp(cfg["network"]["dims"], train_ds, val_ds, imp_cfg, run_dir, run_config=cfg)
-    print(f"trained {train_cfg.steps} steps; best validation accuracy: {run.iterations[0].best_val}")
+    # the dense run is iteration 0 of the configured IMP run, with no pruning rounds
+    cfg["imp"] = {**_section(imp_settings(cfg)[1], "train_cfg"), "max_iterations": 0}
+    run = _run(cfg)
+    print(f"trained {cfg['train']['steps']} steps; best validation accuracy: {run.iterations[0].best_val}")
     return 0
 
 
@@ -266,12 +258,7 @@ def cmd_imp(args) -> int:
     cfg = load_run_config(args.config)
     if cfg["imp"] is None:
         raise ValueError("config has no imp section")
-    train_ds, val_ds = build_dataset(cfg)
-    _check_dims_fit(cfg, train_ds)
-    train_cfg = _train_config(cfg)
-    imp_cfg = ImpConfig(train_cfg=train_cfg, **cfg["imp"])
-    run = run_imp(cfg["network"]["dims"], train_ds, val_ds, imp_cfg,
-                  cfg["output"]["run_dir"], run_config=cfg)
+    run = _run(cfg)
     last = run.iterations[-1]
     print(f"completed {len(run.iterations)} iterations ({run.stopped_reason}); "
           f"final density {last.u_global:.6f}, best validation accuracy {last.best_val}")

@@ -106,7 +106,7 @@ class ImageDataset:
                 raise ValueError("labels must lie in [0, n_classes)")
         if self.images.size:
             lo, hi = float(self.images.min()), float(self.images.max())
-            if lo < 0.0 or hi > 1.0:
+            if not (lo >= 0.0 and hi <= 1.0):
                 raise ValueError(f"pixel values must lie in [0, 1], got [{lo}, {hi}]")
         if self.valid_mask is not None:
             self.valid_mask = np.ascontiguousarray(self.valid_mask, dtype=bool)
@@ -232,7 +232,7 @@ def generate_synthetic(
         raise ValueError("need at least 2 classes")
     if n_per_class < 1:
         raise ValueError("need at least 1 image per class")
-    if noise_sd < 0:
+    if not noise_sd >= 0:
         raise ValueError("noise_sd must be >= 0")
     patch_idx = patch_input_indices(geom, patch)
     rng = np.random.default_rng(seed)

@@ -28,12 +28,14 @@ from .trainer import Checkpoint, TrainConfig, train
 class ImpConfig:
     train_cfg: TrainConfig
     prune_fraction: float = 0.3
-    rewind_step: int = 1000
+    rewind_step: int | None = None  # None = train_cfg.rewind_step
     stop_node_fraction: float = 0.8
     max_iterations: int = 20
     layers_to_prune: list | None = None  # hidden layer numbers (1-based); None = all
 
     def __post_init__(self) -> None:
+        if self.rewind_step is None:
+            self.rewind_step = self.train_cfg.rewind_step
         if not 0.0 < self.prune_fraction < 1.0:
             raise ValueError("prune_fraction must lie in (0, 1)")
         if not 0.0 < self.stop_node_fraction <= 1.0:
@@ -44,17 +46,34 @@ class ImpConfig:
             raise ValueError("rewind_step must lie in [0, train_cfg.steps]")
 
 
+def imp_settings(run_config: dict):
+    """(dims, ImpConfig) of a normalized run configuration (ImpConfig defaults
+    if it has no imp section)."""
+    train_cfg = TrainConfig(translate_augment=run_config["dataset"]["translate_augment"],
+                            **run_config["train"])
+    return list(run_config["network"]["dims"]), ImpConfig(train_cfg, **(run_config["imp"] or {}))
+
+
+def _prunable(layers, n_hidden: int):
+    """The listed hidden layers (1-based; None = all) after checking each is
+    one of the n_hidden and listed once."""
+    if layers is None:
+        return range(1, n_hidden + 1)
+    for layer in layers:
+        if not 1 <= layer <= n_hidden:
+            raise ValueError(f"layer {layer} is not a prunable hidden layer")
+    if len(set(layers)) != len(layers):
+        raise ValueError(f"layers {list(layers)} list a layer more than once")
+    return layers
+
+
 def prune_step(params: ParamSet, masks: MaskSet, fraction: float, layers=None) -> MaskSet:
     """Remove the floor(fraction * surviving) smallest-|w| surviving weights of
     each listed hidden layer (1-based; default all). Returns a new MaskSet."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
-    if layers is None:
-        layers = range(1, len(masks.masks) + 1)
     out = masks.copy()
-    for layer in layers:
-        if not 1 <= layer <= len(masks.masks):
-            raise ValueError(f"layer {layer} is not a prunable hidden layer")
+    for layer in _prunable(layers, len(masks.masks)):
         flat_mask = out.masks[layer - 1].ravel()
         surviving = np.flatnonzero(flat_mask)
         k = math.floor(fraction * surviving.size)
@@ -106,13 +125,9 @@ def random_prune(masks: MaskSet, fraction: float, seed: int, layers=None) -> Mas
     """Like prune_step but removes uniformly random surviving weights."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
-    if layers is None:
-        layers = range(1, len(masks.masks) + 1)
     rng = np.random.default_rng(seed)
     out = masks.copy()
-    for layer in layers:
-        if not 1 <= layer <= len(masks.masks):
-            raise ValueError(f"layer {layer} is not a prunable hidden layer")
+    for layer in _prunable(layers, len(masks.masks)):
         flat_mask = out.masks[layer - 1].ravel()
         surviving = np.flatnonzero(flat_mask)
         k = math.floor(fraction * surviving.size)
@@ -158,13 +173,10 @@ def iteration_seed(master_seed: int, n: int) -> int:
 def _config_fingerprint(dims, imp_config: dict, run_config) -> dict:
     """What a run directory is bound to: dims, the IMP settings and, when the
     run was given one, its whole run configuration (dataset included)."""
-    d = {k: v for k, v in imp_config.items() if k != "max_iterations"}  # a run may be extended
-    d["dims"] = list(dims)
-    if run_config is not None:
-        rc = json.loads(json.dumps(run_config))  # as the manifest stores it
-        rc.pop("imp", None)  # compared in normalized form as imp_config
-        rc.get("output", {}).pop("run_dir", None)  # a run directory may be moved
-        d["run_config"] = rc
+    d = dict(imp_config, max_iterations=None, dims=list(dims))  # a run may be extended
+    if run_config is not None:  # imp compared as imp_config; a run directory may be moved
+        rc = {k: v for k, v in run_config.items() if k not in ("imp", "output")}
+        d["run_config"] = json.loads(json.dumps(rc))  # as the manifest stores it
     return d
 
 
@@ -180,7 +192,7 @@ def _persist_iteration(run_dir: Path, it: ImpIteration, params: ParamSet, record
     reports.export_train_curve_csv(records, run_dir / it.curve_file)
 
 
-def _write_run_manifest(run_dir: Path, dims, geometry, cfg: ImpConfig, iterations, stopped_reason,
+def _write_run_manifest(run_dir: Path, dims, geometry, imp_config, iterations, stopped_reason,
                         run_config, val_file) -> None:
     data = {
         "format_version": reports.FORMAT_VERSION,
@@ -189,7 +201,7 @@ def _write_run_manifest(run_dir: Path, dims, geometry, cfg: ImpConfig, iteration
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "dims": list(dims),
         "geometry": asdict(geometry),
-        "imp_config": asdict(cfg),
+        "imp_config": imp_config,
         "run_config": run_config,
         "rewind_file": "rewind.tkts",
         "val_file": val_file,
@@ -218,23 +230,13 @@ def _resume_state(run_dir: Path, dims, cfg: ImpConfig, run_config):
     if manifest.get("kind") != "imp":
         raise ValueError(f"{run_dir} does not hold a pruning run")
     recorded_config = None if run_config is None else manifest.get("run_config") or {}
-    recorded = _config_fingerprint(manifest["dims"], manifest["imp_config"], recorded_config)
+    # library runs, and runs made before run_config was stored normalized, record imp_config
+    recorded_imp = manifest.get("imp_config") or asdict(imp_settings(manifest["run_config"])[1])
+    recorded = _config_fingerprint(manifest["dims"], recorded_imp, recorded_config)
     if recorded != _config_fingerprint(dims, asdict(cfg), run_config):
         raise ValueError(f"existing run in {run_dir} was produced by a different configuration")
-    iterations = []
-    for entry in manifest["iterations"]:
-        iterations.append(
-            ImpIteration(
-                n=entry["n"],
-                u_per_layer=entry["u_per_layer"],
-                u_global=entry["u_global"],
-                best_val=entry["best_val"],
-                masks=reports.load_masks(run_dir / entry["mask_file"]),
-                mask_file=entry["mask_file"],
-                params_file=entry["params_file"],
-                curve_file=entry["curve_file"],
-            )
-        )
+    iterations = [ImpIteration(masks=reports.load_masks(run_dir / entry["mask_file"]), **entry)
+                  for entry in manifest["iterations"]]
     rewind_ckpt = Checkpoint(cfg.rewind_step, reports.load_checkpoint(run_dir / manifest["rewind_file"]))
     return (iterations, rewind_ckpt, manifest.get("stopped_reason", ""), manifest.get("run_config"),
             manifest.get("val_file"))
@@ -249,12 +251,22 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     run can be extended by raising max_iterations). A run resumes only under
     the dims and IMP settings it was made with and, when run_config is given,
     the same run configuration apart from output.run_dir; otherwise it
-    raises ValueError. A resume without run_config keeps the recorded one.
-    The manifest records the image geometry of train_ds. A new run also
-    stores val_ds in val.tkds, which the analyses evaluate on; a resume
-    leaves that file as it is (runs made before it existed have none).
+    raises ValueError, as do settings that do not fit train_ds, before run_dir
+    is touched. A given run_config must give dims and cfg under imp_settings;
+    without one the manifest stores cfg as imp_config and keeps any recorded
+    run configuration. The manifest records the image geometry of train_ds.
+    A new run also stores val_ds in val.tkds, which the analyses evaluate on;
+    a resume leaves that file as it is (runs made before it existed have none).
     """
     dims = check_dims(dims)
+    if dims[0] != train_ds.geometry.input_size:
+        raise ValueError(f"network input width {dims[0]} != image size {train_ds.geometry.input_size}")
+    if dims[-1] != train_ds.n_classes:
+        raise ValueError(f"network output width {dims[-1]} != {train_ds.n_classes} classes")
+    _prunable(cfg.layers_to_prune, len(dims) - 2)
+    if run_config is not None and imp_settings(run_config) != (dims, cfg):
+        raise ValueError("run_config does not give these dims and IMP settings")
+    imp_config = asdict(cfg) if run_config is None else None
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     master = cfg.train_cfg.seed
@@ -282,7 +294,7 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
         _persist_iteration(run_dir, it0, result.params, result.records)
         iterations.append(it0)
         stopped_reason = "max_iterations"
-        _write_run_manifest(run_dir, dims, train_ds.geometry, cfg, iterations, stopped_reason,
+        _write_run_manifest(run_dir, dims, train_ds.geometry, imp_config, iterations, stopped_reason,
                             run_config, val_file)
         final_params = result.params
 
@@ -290,7 +302,7 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
         masks = prune_step(final_params, iterations[-1].masks, cfg.prune_fraction, cfg.layers_to_prune)
         if stop_condition(masks, cfg.stop_node_fraction):
             stopped_reason = "node_fraction"
-            _write_run_manifest(run_dir, dims, train_ds.geometry, cfg, iterations, stopped_reason,
+            _write_run_manifest(run_dir, dims, train_ds.geometry, imp_config, iterations, stopped_reason,
                                 run_config, val_file)
             break
         start = rewind(final_params, rewind_ckpt, masks)
@@ -301,7 +313,7 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
         it = ImpIteration(n, per_layer, u, result.best_val, masks, mask_file, params_file, curve_file)
         _persist_iteration(run_dir, it, result.params, result.records)
         iterations.append(it)
-        _write_run_manifest(run_dir, dims, train_ds.geometry, cfg, iterations, stopped_reason,
+        _write_run_manifest(run_dir, dims, train_ds.geometry, imp_config, iterations, stopped_reason,
                             run_config, val_file)
         final_params = result.params
 

@@ -35,10 +35,15 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (train-mode batch norm)")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError("lr must be > 0")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ValueError("adam_eps must be > 0")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.eval_every < 1:

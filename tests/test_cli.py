@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from ticketsift.cli import build_dataset, load_run_config, main
 from ticketsift.datasets import ImageGeometry, load_cifar_binary, load_idx, save_idx
 from ticketsift.observables import locality_map
-from ticketsift.pruner import ImpConfig, run_imp
+from ticketsift.pruner import ImpConfig, imp_settings, run_imp
 from ticketsift.reports import load_checkpoint, load_locality_csv, load_masks, load_split, save_split
 from ticketsift.trainer import TrainConfig
 
@@ -39,6 +40,17 @@ def base_config(run_dir):
 def write_config(path, cfg):
     Path(path).write_text(json.dumps(cfg))
     return str(path)
+
+
+def as_earlier_manifest(run_dir, raw_imp, imp_cfg):
+    """Rewrite a run's manifest into the shape written before the run
+    configuration was stored normalized: the IMP settings in imp_config, and
+    run_config.imp as the config file gave it."""
+    path = Path(run_dir) / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["imp_config"] = asdict(imp_cfg)
+    manifest["run_config"]["imp"] = raw_imp
+    path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +129,11 @@ class TestRunConfig:
         ("imp", "rewind_step", False),
         ("imp", "prune_fraction", "0.3"),
         ("imp", "layers_to_prune", [1.0]),
+        ("train", "lr", float("nan")),
+        ("train", "adam_eps", float("inf")),
+        ("imp", "prune_fraction", float("nan")),
+        ("dataset", "rotate_degrees", float("inf")),
+        ("dataset", "fraction", float("nan")),
     ])
     def test_section_types_checked(self, tmp_path, capsys, command, section, key, value):
         raw = base_config(tmp_path / "run")
@@ -133,15 +150,45 @@ class TestRunConfig:
         assert not (tmp_path / "run").exists()
 
     def test_omitted_imp_rewind_step_named(self, tmp_path, capsys):
-        raw = base_config(tmp_path / "run")
-        raw["train"]["steps"] = 20
+        # an omitted imp.rewind_step is train.rewind_step
+        raw = base_config(tmp_path / "given")
+        raw["train"].update(steps=20, rewind_step=3)
+        raw["imp"].update(rewind_step=3, max_iterations=0)
+        assert main(["imp", "--config", write_config(tmp_path / "given.json", raw)]) == 0
         del raw["imp"]["rewind_step"]
+        raw["output"]["run_dir"] = str(tmp_path / "omitted")
+        assert main(["imp", "--config", write_config(tmp_path / "omitted.json", raw)]) == 0
+        assert ((tmp_path / "omitted/rewind.tkts").read_bytes()
+                == (tmp_path / "given/rewind.tkts").read_bytes())
+        # a given one outside the training run is named with its value
+        raw["imp"]["rewind_step"] = 21
+        raw["output"]["run_dir"] = str(tmp_path / "run")
         assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 1
         err = capsys.readouterr().err
-        assert "imp.rewind_step = 1000" in err
-        assert "default" in err
+        assert "imp.rewind_step = 21" in err
         assert "train.steps = 20" in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "imp"])
+    @pytest.mark.parametrize("key,value", [
+        ("noise_sd", float("nan")), ("adam_beta1", 5.0), ("adam_beta2", 1.0), ("adam_eps", 0.0),
+    ])
+    def test_out_of_range_numbers_rejected(self, tmp_path, capsys, command, key, value):
+        raw = base_config(tmp_path / "run")
+        (raw["dataset"]["synthetic"] if key == "noise_sd" else raw["train"])[key] = value
+        assert main([command, "--config", write_config(tmp_path / "c.json", raw)]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_imp_section_normalized(self, tmp_path):
+        raw = base_config(tmp_path / "r")
+        raw["imp"] = {"max_iterations": 3}
+        cfg = load_run_config(write_config(tmp_path / "c.json", raw))
+        assert cfg["imp"] == {"prune_fraction": 0.3, "rewind_step": 2, "stop_node_fraction": 0.8,
+                              "max_iterations": 3, "layers_to_prune": None}
+        dims, imp_cfg = imp_settings(cfg)
+        assert dims == DIMS
+        assert imp_cfg == ImpConfig(TrainConfig(**cfg["train"]), **cfg["imp"])
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "c.json"
@@ -259,6 +306,26 @@ class TestTrainCommand:
                 assert (tmp_path / "run" / rel).read_bytes() == (imp_run[0] / rel).read_bytes()
         assert (tmp_path / "run/imp_curve.csv").read_bytes() == (imp_run[0] / "imp_curve.csv").read_bytes()
 
+    def test_rewinds_at_the_imp_rewind_step(self, imp_run, tmp_path, capsys):
+        raw = base_config(tmp_path / "trained")
+        raw["imp"]["rewind_step"] = 4  # train.rewind_step is 2
+        config = write_config(tmp_path / "c.json", raw)
+        assert main(["train", "--config", config]) == 0
+        manifest = json.loads((tmp_path / "trained/manifest.json").read_text())
+        assert manifest["run_config"]["imp"]["max_iterations"] == 0
+        oneshot = dict(raw, output={"run_dir": str(tmp_path / "oneshot")})
+        assert main(["imp", "--config", write_config(tmp_path / "oneshot.json", oneshot)]) == 0
+        zero = ("rewind.tkts", "iters/000/masks.tkms", "iters/000/params.tkts",
+                "iters/000/train_curve.csv")
+        for rel in zero:
+            assert (tmp_path / "trained" / rel).read_bytes() == (tmp_path / "oneshot" / rel).read_bytes()
+        rewound_at_2 = (imp_run[0] / "rewind.tkts").read_bytes()
+        assert (tmp_path / "trained/rewind.tkts").read_bytes() != rewound_at_2
+        assert main(["imp", "--config", config]) == 0
+        assert "completed 3 iterations" in capsys.readouterr().out
+        for rel in ("iters/001/params.tkts", "iters/002/params.tkts", "imp_curve.csv"):
+            assert (tmp_path / "trained" / rel).read_bytes() == (tmp_path / "oneshot" / rel).read_bytes()
+
     def test_imp_refuses_legacy_train_manifest(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", base_config(tmp_path / "run"))
         assert main(["train", "--config", config]) == 0
@@ -315,6 +382,60 @@ class TestImpCommand:
         raw["output"]["run_dir"] = str(tmp_path / "moved")
         assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 0
         assert "completed 3 iterations" in capsys.readouterr().out
+
+    def test_settings_stored_once(self, imp_run):
+        manifest = json.loads((imp_run[0] / "manifest.json").read_text())
+        assert manifest["imp_config"] is None
+        run_config = manifest["run_config"]
+        assert sorted(run_config["imp"]) == ["layers_to_prune", "max_iterations", "prune_fraction",
+                                             "rewind_step", "stop_node_fraction"]
+        assert "translate_augment" not in run_config["train"]
+        assert run_config["dataset"]["translate_augment"] is False
+
+    def test_manifest_of_the_earlier_shape_resumes(self, imp_run, tmp_path, capsys):
+        raw = base_config(tmp_path / "run")
+        raw["imp"]["max_iterations"] = 1
+        config = write_config(tmp_path / "a.json", raw)
+        assert main(["imp", "--config", config]) == 0
+        as_earlier_manifest(tmp_path / "run", dict(raw["imp"]), imp_settings(load_run_config(config))[1])
+        raw["imp"]["max_iterations"] = 2
+        assert main(["imp", "--config", write_config(tmp_path / "b.json", raw)]) == 0
+        assert "completed 3 iterations" in capsys.readouterr().out
+        for rel in ("iters/002/masks.tkms", "iters/002/params.tkts", "imp_curve.csv"):
+            assert (tmp_path / "run" / rel).read_bytes() == (imp_run[0] / rel).read_bytes()
+        manifest = json.loads((tmp_path / "run/manifest.json").read_text())
+        assert manifest["imp_config"] is None
+        assert manifest["run_config"]["imp"]["stop_node_fraction"] == 0.8
+
+    def test_earlier_run_on_the_old_rewind_default(self, tmp_path, capsys):
+        raw = base_config(tmp_path / "run")
+        raw["train"].update(steps=1000, eval_every=500)
+        raw["imp"] = {"max_iterations": 0, "prune_fraction": 0.3, "rewind_step": 1000}
+        config = write_config(tmp_path / "a.json", raw)
+        assert main(["imp", "--config", config]) == 0
+        del raw["imp"]["rewind_step"]  # which imp.rewind_step once defaulted to
+        as_earlier_manifest(tmp_path / "run", dict(raw["imp"]), imp_settings(load_run_config(config))[1])
+        before = (tmp_path / "run/manifest.json").read_bytes()
+        raw["imp"]["max_iterations"] = 1
+        assert main(["imp", "--config", write_config(tmp_path / "b.json", raw)]) == 1
+        assert "different configuration" in capsys.readouterr().err
+        assert (tmp_path / "run/manifest.json").read_bytes() == before
+        assert not (tmp_path / "run/iters/001").exists()
+        raw["imp"]["rewind_step"] = 1000
+        assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 0
+        assert "completed 2 iterations" in capsys.readouterr().out
+
+    def test_run_config_must_give_the_run_settings(self, tmp_path):
+        cfg = load_run_config(write_config(tmp_path / "c.json", base_config(tmp_path / "run")))
+        train_ds, val_ds = build_dataset(cfg)
+        dims, imp_cfg = imp_settings(cfg)
+        train_cfg = replace(imp_cfg.train_cfg, translate_augment=True)
+        for other_dims, other_cfg in [([16, 4, 2], imp_cfg), (dims, replace(imp_cfg, max_iterations=1)),
+                                      (dims, replace(imp_cfg, prune_fraction=0.5)),
+                                      (dims, replace(imp_cfg, train_cfg=train_cfg))]:
+            with pytest.raises(ValueError, match="run_config"):
+                run_imp(other_dims, train_ds, val_ds, other_cfg, tmp_path / "run", run_config=cfg)
+        assert not (tmp_path / "run").exists()
 
     def test_library_resume_keeps_run_config(self, tmp_path):
         raw = base_config(tmp_path / "run")

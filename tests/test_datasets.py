@@ -206,6 +206,10 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(self.GEOM, 4, (14, 0, 5, 3), 3, 0.0, seed=0)
 
+    def test_nan_noise_rejected(self):
+        with pytest.raises(ValueError, match="noise_sd"):
+            generate_synthetic(self.GEOM, 4, self.PATCH, 3, noise_sd=float("nan"), seed=0)
+
 
 class TestSubsample:
     def test_floor_count(self, rng):

@@ -118,6 +118,11 @@ class TestPruneStep:
         with pytest.raises(ValueError):
             prune_step(params, MaskSet.full(DIMS), 0.3, layers=[3])
 
+    def test_repeated_layer_rejected(self):
+        params = init_params(DIMS, seed=0)
+        with pytest.raises(ValueError, match="more than once"):
+            prune_step(params, MaskSet.full(DIMS), 0.3, layers=[1, 1])
+
     def test_fraction_bounds_rejected(self):
         params = init_params(DIMS, seed=0)
         for fraction in (0.0, 1.0, -0.2, 1.5):
@@ -244,6 +249,11 @@ class TestRandomPrune:
             0.4 * int(masks.masks[0].sum())
         )
 
+    def test_invalid_and_repeated_layers_rejected(self):
+        for layers in ([0], [3], [2, 2]):
+            with pytest.raises(ValueError, match="layer"):
+                random_prune(MaskSet.full(DIMS), 0.3, seed=0, layers=layers)
+
 
 class TestSeeds:
     def test_init_seed_material(self):
@@ -361,6 +371,34 @@ class TestRunImp:
         again = run_imp(DIMS, ds, ds, cfg, tmp_path / "run")
         assert again.stopped_reason == "node_fraction"
         assert [it.n for it in again.iterations] == [0]
+
+    def test_rewind_step_defaults_to_the_training_one(self):
+        cfg = tiny_imp_config(rewind_step=None)
+        assert cfg.rewind_step == cfg.train_cfg.rewind_step == 2
+        assert ImpConfig(TrainConfig()).rewind_step == TrainConfig().rewind_step
+
+    @pytest.mark.parametrize("dims,layers,match", [
+        ([15, 8, 4, 2], None, "image size"),
+        ([16, 8, 4, 3], None, "classes"),
+        (DIMS, [3], "not a prunable hidden layer"),
+        (DIMS, [0], "not a prunable hidden layer"),
+        (DIMS, [1, 1], "more than once"),
+    ])
+    def test_unfit_settings_rejected_before_the_run_directory(self, rng, tmp_path, dims, layers,
+                                                              match):
+        ds = self.make_data(rng)
+        with pytest.raises(ValueError, match=match):
+            run_imp(dims, ds, ds, tiny_imp_config(layers_to_prune=layers), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_manifest_records_imp_config(self, rng, tmp_path):
+        ds = self.make_data(rng)
+        cfg = tiny_imp_config(max_iterations=0)
+        run_imp(DIMS, ds, ds, cfg, tmp_path / "run")
+        manifest = json.loads((tmp_path / "run/manifest.json").read_text())
+        assert manifest["run_config"] is None
+        assert manifest["imp_config"]["rewind_step"] == 2
+        assert manifest["imp_config"]["train_cfg"]["seed"] == 5
 
     def test_manifest_masks_match_memory(self, rng, tmp_path):
         ds = self.make_data(rng)

@@ -212,11 +212,12 @@ class TestSplitFile:
 
     def test_out_of_range_content_rejected(self, rng, tmp_path):
         path = tmp_path / "v.tkds"
-        ds = random_dataset(rng, ImageGeometry(4, 3, 1), 5, 2)
-        ds.images[2, 3] = 1.5
-        save_split(path, ds)
-        with pytest.raises(ValueError, match="pixel values"):
-            load_split(path)
+        for bad in (1.5, np.nan):
+            ds = random_dataset(rng, ImageGeometry(4, 3, 1), 5, 2)
+            ds.images[2, 3] = bad
+            save_split(path, ds)
+            with pytest.raises(ValueError, match="pixel values"):
+                load_split(path)
 
 
 class TestMaskImage:

@@ -64,6 +64,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(optimizer="rmsprop")
 
+    @pytest.mark.parametrize("key,value", [
+        ("lr", float("nan")), ("lr", 0.0), ("adam_beta1", 5.0), ("adam_beta1", -0.1),
+        ("adam_beta2", 1.0), ("adam_beta2", float("nan")), ("adam_eps", 0.0),
+        ("adam_eps", float("nan")),
+    ])
+    def test_out_of_range_numbers_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})
+
 
 class TestSgdStep:
     def test_subtracts_lr_times_grad(self):
