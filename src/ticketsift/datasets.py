@@ -290,7 +290,11 @@ def load_class_mapping(path) -> ClassMapping:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or set(data) != {"n_macro", "table"}:
         raise ValueError(f"mapping file {path} must hold exactly n_macro and table")
-    return ClassMapping(n_macro=int(data["n_macro"]), table=tuple(int(t) for t in data["table"]))
+    n_macro, table = data["n_macro"], data["table"]
+    # type(x) is int: JSON true/false load as bool, an int subclass
+    if type(n_macro) is not int or type(table) is not list or any(type(t) is not int for t in table):
+        raise ValueError(f"mapping file {path} must give an integer n_macro and a list of integers")
+    return ClassMapping(n_macro=n_macro, table=tuple(table))
 
 
 def _cluster_labels(labels: np.ndarray, mode: str, mapping: ClassMapping | None):

@@ -172,74 +172,33 @@ def iteration_seed(master_seed: int, n: int) -> int:
 
 def _config_fingerprint(dims, imp_config: dict, run_config) -> dict:
     """What a run directory is bound to: dims, the IMP settings and, when the
-    run was given one, its whole run configuration (dataset included)."""
+    run was given one, its whole run configuration (dataset included), as the
+    manifest stores them."""
     d = dict(imp_config, max_iterations=None, dims=list(dims))  # a run may be extended
     if run_config is not None:  # imp compared as imp_config; a run directory may be moved
-        rc = {k: v for k, v in run_config.items() if k not in ("imp", "output")}
-        d["run_config"] = json.loads(json.dumps(rc))  # as the manifest stores it
-    return d
+        d["run_config"] = {k: v for k, v in run_config.items() if k not in ("imp", "output")}
+    return json.loads(json.dumps(d))
 
 
-def _iteration_paths(n: int):
-    stem = f"iters/{n:03d}"
-    return f"{stem}/masks.tkms", f"{stem}/params.tkts", f"{stem}/train_curve.csv"
-
-
-def _persist_iteration(run_dir: Path, it: ImpIteration, params: ParamSet, records) -> None:
-    (run_dir / f"iters/{it.n:03d}").mkdir(parents=True, exist_ok=True)
-    reports.save_masks(run_dir / it.mask_file, it.masks)
-    reports.save_checkpoint(run_dir / it.params_file, params)
-    reports.export_train_curve_csv(records, run_dir / it.curve_file)
-
-
-def _write_run_manifest(run_dir: Path, dims, geometry, imp_config, iterations, stopped_reason,
-                        run_config, val_file) -> None:
+def _write_run_manifest(run: ImpRun, geometry, imp_config, run_config, val_file) -> None:
     data = {
         "format_version": reports.FORMAT_VERSION,
         "kind": "imp",
         "pixel_layout": reports.PIXEL_LAYOUT,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "dims": list(dims),
+        "dims": list(run.dims),
         "geometry": asdict(geometry),
         "imp_config": imp_config,
         "run_config": run_config,
         "rewind_file": "rewind.tkts",
         "val_file": val_file,
-        "stopped_reason": stopped_reason,
-        "iterations": [
-            {
-                "n": it.n,
-                "u_per_layer": it.u_per_layer,
-                "u_global": it.u_global,
-                "best_val": it.best_val,
-                "mask_file": it.mask_file,
-                "params_file": it.params_file,
-                "curve_file": it.curve_file,
-            }
-            for it in iterations
-        ],
+        "stopped_reason": run.stopped_reason,
+        "iterations": [{k: v for k, v in vars(it).items() if k != "masks"} for it in run.iterations],
     }
-    reports.write_manifest(run_dir, data)
+    reports.write_manifest(run.run_dir, data)
     reports.export_imp_curve_csv(
-        [(it.n, it.u_global, it.best_val) for it in iterations], run_dir / "imp_curve.csv"
+        [(it.n, it.u_global, it.best_val) for it in run.iterations], run.run_dir / "imp_curve.csv"
     )
-
-
-def _resume_state(run_dir: Path, dims, cfg: ImpConfig, run_config):
-    manifest = reports.load_manifest(run_dir)
-    if manifest.get("kind") != "imp":
-        raise ValueError(f"{run_dir} does not hold a pruning run")
-    recorded_config = None if run_config is None else manifest.get("run_config") or {}
-    # library runs, and runs made before run_config was stored normalized, record imp_config
-    recorded_imp = manifest.get("imp_config") or asdict(imp_settings(manifest["run_config"])[1])
-    recorded = _config_fingerprint(manifest["dims"], recorded_imp, recorded_config)
-    if recorded != _config_fingerprint(dims, asdict(cfg), run_config):
-        raise ValueError(f"existing run in {run_dir} was produced by a different configuration")
-    iterations = [ImpIteration(masks=reports.load_masks(run_dir / entry["mask_file"]), **entry)
-                  for entry in manifest["iterations"]]
-    rewind_ckpt = Checkpoint(cfg.rewind_step, reports.load_checkpoint(run_dir / manifest["rewind_file"]))
-    return (iterations, rewind_ckpt, manifest.get("stopped_reason", ""), manifest.get("run_config"),
-            manifest.get("val_file"))
 
 
 def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) -> ImpRun:
@@ -255,8 +214,10 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     is touched. A given run_config must give dims and cfg under imp_settings;
     without one the manifest stores cfg as imp_config and keeps any recorded
     run configuration. The manifest records the image geometry of train_ds.
-    A new run also stores val_ds in val.tkds, which the analyses evaluate on;
-    a resume leaves that file as it is (runs made before it existed have none).
+    Iteration 0, once the dense run has trained, also stores val_ds in
+    val.tkds, which the analyses evaluate on, so a dense run that fails leaves
+    no file; a resume leaves that file as it is (runs made before it existed
+    have none).
     """
     dims = check_dims(dims)
     if dims[0] != train_ds.geometry.input_size:
@@ -270,51 +231,57 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     master = cfg.train_cfg.seed
+    run = ImpRun(dims, cfg, [], None, "max_iterations", run_dir)
+    val_file = "val.tkds"
 
     if (run_dir / "manifest.json").is_file():
-        iterations, rewind_ckpt, stopped_reason, recorded, val_file = _resume_state(
-            run_dir, dims, cfg, run_config)
-        run_config = recorded if run_config is None else run_config  # keep the recorded configuration
-        if stopped_reason == "node_fraction" or len(iterations) > cfg.max_iterations:
-            return ImpRun(dims, cfg, iterations, rewind_ckpt, stopped_reason, run_dir)
-        final_params = reports.load_checkpoint(run_dir / iterations[-1].params_file)
-    else:
-        val_file = "val.tkds"
-        reports.save_split(run_dir / val_file, val_ds)
-        iterations = []
-        params0 = init_params(dims, init_seed(master))
-        masks0 = MaskSet.full(dims)
-        cfg0 = replace(cfg.train_cfg, seed=iteration_seed(master, 0), rewind_step=cfg.rewind_step)
-        result = train(params0, masks0, train_ds, val_ds, cfg0, capture_rewind=True)
-        rewind_ckpt = result.rewind
-        reports.save_checkpoint(run_dir / "rewind.tkts", rewind_ckpt.params)
-        per_layer, u = density(masks0)
-        mask_file, params_file, curve_file = _iteration_paths(0)
-        it0 = ImpIteration(0, per_layer, u, result.best_val, masks0, mask_file, params_file, curve_file)
-        _persist_iteration(run_dir, it0, result.params, result.records)
-        iterations.append(it0)
-        stopped_reason = "max_iterations"
-        _write_run_manifest(run_dir, dims, train_ds.geometry, imp_config, iterations, stopped_reason,
-                            run_config, val_file)
-        final_params = result.params
+        manifest = reports.load_manifest(run_dir)
+        if manifest.get("kind") != "imp":
+            raise ValueError(f"{run_dir} does not hold a pruning run")
+        recorded_config = None if run_config is None else manifest.get("run_config") or {}
+        # library runs, and runs made before run_config was stored normalized, record imp_config
+        recorded_imp = manifest.get("imp_config") or asdict(imp_settings(manifest["run_config"])[1])
+        if (_config_fingerprint(manifest["dims"], recorded_imp, recorded_config)
+                != _config_fingerprint(dims, asdict(cfg), run_config)):
+            raise ValueError(f"existing run in {run_dir} was produced by a different configuration")
+        run.iterations = [ImpIteration(masks=reports.load_masks(run_dir / entry["mask_file"]), **entry)
+                          for entry in manifest["iterations"]]
+        rewind_params = reports.load_checkpoint(run_dir / manifest["rewind_file"])
+        run.rewind_ckpt = Checkpoint(cfg.rewind_step, rewind_params)
+        run.stopped_reason = manifest.get("stopped_reason", "")
+        if run_config is None:  # keep the recorded configuration
+            run_config = manifest.get("run_config")
+        val_file = manifest.get("val_file")
+        if run.stopped_reason == "node_fraction" or len(run.iterations) > cfg.max_iterations:
+            return run
+        params = reports.load_checkpoint(run_dir / run.iterations[-1].params_file)
 
-    for n in range(len(iterations), cfg.max_iterations + 1):
-        masks = prune_step(final_params, iterations[-1].masks, cfg.prune_fraction, cfg.layers_to_prune)
-        if stop_condition(masks, cfg.stop_node_fraction):
-            stopped_reason = "node_fraction"
-            _write_run_manifest(run_dir, dims, train_ds.geometry, imp_config, iterations, stopped_reason,
-                                run_config, val_file)
-            break
-        start = rewind(final_params, rewind_ckpt, masks)
-        cfg_n = replace(cfg.train_cfg, seed=iteration_seed(master, n))
-        result = train(start, masks, train_ds, val_ds, cfg_n)
-        per_layer, u = density(masks)
-        mask_file, params_file, curve_file = _iteration_paths(n)
-        it = ImpIteration(n, per_layer, u, result.best_val, masks, mask_file, params_file, curve_file)
-        _persist_iteration(run_dir, it, result.params, result.records)
-        iterations.append(it)
-        _write_run_manifest(run_dir, dims, train_ds.geometry, imp_config, iterations, stopped_reason,
-                            run_config, val_file)
-        final_params = result.params
+    for n in range(len(run.iterations), cfg.max_iterations + 1):
+        if n == 0:
+            masks, start = MaskSet.full(dims), init_params(dims, init_seed(master))
+        else:
+            masks = prune_step(params, run.iterations[-1].masks, cfg.prune_fraction, cfg.layers_to_prune)
+            if stop_condition(masks, cfg.stop_node_fraction):
+                run.stopped_reason = "node_fraction"
+                _write_run_manifest(run, train_ds.geometry, imp_config, run_config, val_file)
+                break
+            start = rewind(params, run.rewind_ckpt, masks)
+        # train reads rewind_step only under capture_rewind
+        cfg_n = replace(cfg.train_cfg, seed=iteration_seed(master, n), rewind_step=cfg.rewind_step)
+        result = train(start, masks, train_ds, val_ds, cfg_n, capture_rewind=n == 0)
+        params = result.params
+        if n == 0:
+            run.rewind_ckpt = result.rewind
+            reports.save_split(run_dir / val_file, val_ds)
+            reports.save_checkpoint(run_dir / "rewind.tkts", run.rewind_ckpt.params)
+        stem = f"iters/{n:03d}"
+        it = ImpIteration(n, *density(masks), result.best_val, masks,
+                          f"{stem}/masks.tkms", f"{stem}/params.tkts", f"{stem}/train_curve.csv")
+        (run_dir / stem).mkdir(parents=True, exist_ok=True)
+        reports.save_masks(run_dir / it.mask_file, masks)
+        reports.save_checkpoint(run_dir / it.params_file, params)
+        reports.export_train_curve_csv(result.records, run_dir / it.curve_file)
+        run.iterations.append(it)
+        _write_run_manifest(run, train_ds.geometry, imp_config, run_config, val_file)
 
-    return ImpRun(dims, cfg, iterations, rewind_ckpt, stopped_reason, run_dir)
+    return run

@@ -277,9 +277,12 @@ class TestClusterClasses:
         path.write_text(json.dumps({"n_macro": 2, "table": [1, 0, 1]}))
         mapping = load_class_mapping(path)
         assert mapping == ClassMapping(2, (1, 0, 1))
-        path.write_text(json.dumps({"n_macro": 2, "table": [1, 0], "extra": 1}))
-        with pytest.raises(ValueError):
-            load_class_mapping(path)
+        for bad in [{"n_macro": 2, "table": [1, 0], "extra": 1},
+                    {"n_macro": 2.9, "table": "0101"},
+                    {"n_macro": True, "table": [0, 0.9, False]}]:
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ValueError):
+                load_class_mapping(path)
 
 
 class TestRotate:

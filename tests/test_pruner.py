@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from ticketsift.pruner import (
     stop_condition,
 )
 from ticketsift.reports import load_checkpoint, load_masks, load_split
-from ticketsift.trainer import Checkpoint, TrainConfig
+from ticketsift.trainer import Checkpoint, TrainConfig, TrainingDiverged
 
 import oracles
 from conftest import random_dataset
@@ -331,6 +332,23 @@ class TestRunImp:
             rel = f"iters/{n:03d}/masks.tkms"
             assert (tmp_path / "oneshot" / rel).read_bytes() == (tmp_path / "resumed" / rel).read_bytes()
 
+    def test_tuple_layers_resume(self, rng, tmp_path):
+        ds = self.make_data(rng)
+        run_imp(DIMS, ds, ds, tiny_imp_config(layers_to_prune=(1,), max_iterations=1), tmp_path / "run")
+        run = run_imp(DIMS, ds, ds, tiny_imp_config(layers_to_prune=(1,)), tmp_path / "run")
+        assert [it.n for it in run.iterations] == [0, 1, 2]
+
+    @pytest.mark.parametrize("train_kw,error", [
+        (dict(lr=1e30), TrainingDiverged),
+        (dict(batch_size=32), ValueError),
+    ])
+    def test_failed_dense_run_leaves_no_file(self, rng, tmp_path, train_kw, error):
+        ds = self.make_data(rng)
+        train_cfg = replace(tiny_imp_config().train_cfg, **train_kw)
+        with pytest.raises(error):
+            run_imp(DIMS, ds, ds, tiny_imp_config(train_cfg=train_cfg), tmp_path / "run")
+        assert [p for p in (tmp_path / "run").rglob("*") if p.is_file()] == []
+
     def test_stores_validation_split_once(self, rng, tmp_path):
         ds = self.make_data(rng)
         val = self.make_data(rng, n=10)
@@ -368,9 +386,11 @@ class TestRunImp:
         run = run_imp(DIMS, ds, ds, cfg, tmp_path / "run")
         assert run.stopped_reason == "node_fraction"
         assert [it.n for it in run.iterations] == [0]
+        manifest = (tmp_path / "run/manifest.json").read_bytes()
         again = run_imp(DIMS, ds, ds, cfg, tmp_path / "run")
         assert again.stopped_reason == "node_fraction"
         assert [it.n for it in again.iterations] == [0]
+        assert (tmp_path / "run/manifest.json").read_bytes() == manifest
 
     def test_rewind_step_defaults_to_the_training_one(self):
         cfg = tiny_imp_config(rewind_step=None)
