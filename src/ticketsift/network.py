@@ -12,6 +12,12 @@ stored value is irrelevant there; masked weights get exactly zero gradient.
 Training instead stores masked weights as +0.0, set once when it starts and
 kept there by the masked gradient under SGD and Adam, and runs the same
 arithmetic on the stored weights with no ``W * M`` product.
+
+A training step takes every column sum over the batch as a ones-vector BLAS
+product ``ones @ A``, and its batch-norm backward reuses the shift and scale
+gradients: since ``d_x_hat = gamma * d_bn`` column-wise,
+``sum(d_x_hat) = gamma * g_beta`` and ``sum(d_x_hat * x_hat) = gamma * g_gamma``.
+Eval mode keeps ``(z - running_mean) * inv_std * gamma + beta`` in that order.
 """
 
 from __future__ import annotations
@@ -137,14 +143,13 @@ class ForwardCache:
     """Intermediates needed by the backward pass and activation probes.
 
     activations[l] is the input to weight matrix l (activations[0] is the
-    batch itself); x_hat, inv_std, bn_out have one entry per hidden layer.
+    batch itself); x_hat and inv_std have one entry per hidden layer.
     """
 
     mode: str
     activations: list
     x_hat: list
     inv_std: list
-    bn_out: list
 
 
 def _check_net(params: ParamSet, masks: MaskSet, batch: np.ndarray, mode: str = "eval") -> None:
@@ -171,18 +176,24 @@ def _masked_weights(params: ParamSet, masks: MaskSet) -> list:
 
 def _hidden_layer(params: ParamSet, l: int, z: np.ndarray, mode: str):
     """Batch norm -> ReLU of hidden layer l + 1 from its pre-activation z;
-    returns (x_hat, inv_std, bn_out, activation)."""
+    returns (x_hat, inv_std, activation). Overwrites z, which becomes x_hat;
+    train mode centres z in place before squaring it for the variance.
+    """
     if mode == "train":
-        mean = z.mean(axis=0)
-        var = np.square(z - mean).mean(axis=0)  # z.var(axis=0) without computing the mean twice
+        ones = np.ones(len(z), z.dtype)
+        mean = (ones @ z) / len(z)
+        z -= mean
+        var = (ones @ np.square(z)) / len(z)
         params.running_mean[l][...] = BN_MOMENTUM * params.running_mean[l] + (1 - BN_MOMENTUM) * mean
         params.running_var[l][...] = BN_MOMENTUM * params.running_var[l] + (1 - BN_MOMENTUM) * var
     else:
-        mean, var = params.running_mean[l], params.running_var[l]
+        var = params.running_var[l]
+        z -= params.running_mean[l]
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    x_hat = (z - mean) * inv_std
-    bn_out = params.gamma[l] * x_hat + params.beta[l]
-    return x_hat, inv_std, bn_out, np.maximum(bn_out, 0)
+    z *= inv_std
+    a = z * params.gamma[l]
+    a += params.beta[l]
+    return z, inv_std, np.maximum(a, 0, out=a)
 
 
 def forward(params: ParamSet, masks: MaskSet, batch: np.ndarray, mode: str = "train"):
@@ -200,12 +211,13 @@ def forward(params: ParamSet, masks: MaskSet, batch: np.ndarray, mode: str = "tr
 def _forward(params: ParamSet, weights: list, batch: np.ndarray, mode: str):
     """``forward``'s arithmetic on effective weights: W * M, or stored weights zeroed where masked."""
     a = batch
-    cache = ForwardCache(mode, [a], [], [], [])
+    cache = ForwardCache(mode, [a], [], [])
     for l in range(params.n_hidden):
-        x_hat, inv_std, bn_out, a = _hidden_layer(params, l, a @ weights[l] + params.biases[l], mode)
+        z = a @ weights[l]
+        z += params.biases[l]
+        x_hat, inv_std, a = _hidden_layer(params, l, z, mode)
         cache.x_hat.append(x_hat)
         cache.inv_std.append(inv_std)
-        cache.bn_out.append(bn_out)
         cache.activations.append(a)
     return a @ weights[-1] + params.biases[-1], cache
 
@@ -225,7 +237,15 @@ def loss_and_grads(params: ParamSet, masks: MaskSet, batch: np.ndarray, labels: 
 
 def _loss_and_grads(params: ParamSet, gates: list, weights: list, batch, labels, grads):
     """``loss_and_grads``'s arithmetic on effective weights (see ``_forward``) and 0/1 mask
-    arrays ``gates``; writes every trainable gradient into ``grads``."""
+    arrays ``gates``; writes every trainable gradient into ``grads``.
+
+    Column sums over the batch are ones-vector products ``ones @ A``. Batch-norm
+    backward reuses the shift and scale gradients: with d_bn the gradient at the
+    batch-norm output, ``g_beta = sum(d_bn)`` and ``g_gamma = sum(d_bn * x_hat)``,
+    and since ``d_x_hat = gamma * d_bn`` column-wise, ``sum(d_x_hat) = gamma * g_beta``
+    and ``sum(d_x_hat * x_hat) = gamma * g_gamma``; so with ``k = gamma * inv_std``,
+    ``d_z = d_bn * k - x_hat * (k * g_gamma / n) - k * g_beta / n``.
+    """
     labels = np.asarray(labels)
     logits, cache = _forward(params, weights, batch, "train")
     n = logits.shape[0]
@@ -240,20 +260,22 @@ def _loss_and_grads(params: ParamSet, gates: list, weights: list, batch, labels,
     d_logits[np.arange(n), labels] -= 1.0
     d_logits /= n
 
+    ones = np.ones(n, d_logits.dtype)
     np.matmul(cache.activations[-1].T, d_logits, out=grads.weights[-1])
-    d_logits.sum(axis=0, out=grads.biases[-1])
+    np.matmul(ones, d_logits, out=grads.biases[-1])
     d_a = d_logits @ weights[-1].T
     for l in range(params.n_hidden - 1, -1, -1):
-        d_bn = d_a * (cache.bn_out[l] > 0)
-        (d_bn * cache.x_hat[l]).sum(axis=0, out=grads.gamma[l])
-        d_bn.sum(axis=0, out=grads.beta[l])
-        d_xhat = d_bn * params.gamma[l]
-        d_z = (cache.inv_std[l] / n) * (
-            n * d_xhat - d_xhat.sum(axis=0) - cache.x_hat[l] * (d_xhat * cache.x_hat[l]).sum(axis=0)
-        )
+        x_hat = cache.x_hat[l]
+        d_bn = np.multiply(d_a, cache.activations[l + 1] > 0, out=d_a)
+        g_beta = np.matmul(ones, d_bn, out=grads.beta[l])
+        g_gamma = np.matmul(ones, d_bn * x_hat, out=grads.gamma[l])
+        k = params.gamma[l] * cache.inv_std[l]
+        d_z = np.multiply(d_bn, k, out=d_bn)
+        d_z -= x_hat * (k * g_gamma / n)
+        d_z -= k * g_beta / n
         np.matmul(cache.activations[l].T, d_z, out=grads.weights[l])
         grads.weights[l] *= gates[l]
-        d_z.sum(axis=0, out=grads.biases[l])
+        np.matmul(ones, d_z, out=grads.biases[l])
         if l > 0:
             d_a = d_z @ weights[l].T
     return loss, grads

@@ -153,34 +153,36 @@ def train(
     records: list = []
     batches_per_epoch = n // cfg.batch_size
     step = 0
-    while step < cfg.steps:
-        perm = shuffle_rng.permutation(n)
-        for b in range(batches_per_epoch):
-            if step >= cfg.steps:
-                break
-            idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            xb = train_ds.images[idx]
-            yb = train_ds.labels[idx]
-            if cfg.translate_augment:
-                shifts = np.stack(
-                    [
-                        augment_rng.integers(0, geom.width, size=cfg.batch_size),
-                        augment_rng.integers(0, geom.height, size=cfg.batch_size),
-                    ],
-                    axis=1,
-                )
-                xb = translate_wrap_each(xb, geom, shifts)
-            loss, _ = _loss_and_grads(p, gates, p.weights, xb, yb, grads)
-            if not math.isfinite(loss):
-                raise TrainingDiverged(step + 1, loss)
-            if cfg.optimizer == "sgd":
-                sgd_step(p, grads, cfg.lr)
-            else:
-                adam_step(p, grads, cfg.lr, adam, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-            step += 1
-            if capture_rewind and step == cfg.rewind_step:
-                rewind = Checkpoint(step, p.copy())
-            if (step % cfg.eval_every == 0 or step == cfg.steps) and len(val_ds) > 0:
-                records.append(TrainRecord(step, float(loss), _accuracy(p, p.weights, val_ds)))
+    # a diverging step overflows before its loss turns non-finite; the loss check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < cfg.steps:
+            perm = shuffle_rng.permutation(n)
+            for b in range(batches_per_epoch):
+                if step >= cfg.steps:
+                    break
+                idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+                xb = train_ds.images[idx]
+                yb = train_ds.labels[idx]
+                if cfg.translate_augment:
+                    shifts = np.stack(
+                        [
+                            augment_rng.integers(0, geom.width, size=cfg.batch_size),
+                            augment_rng.integers(0, geom.height, size=cfg.batch_size),
+                        ],
+                        axis=1,
+                    )
+                    xb = translate_wrap_each(xb, geom, shifts)
+                loss, _ = _loss_and_grads(p, gates, p.weights, xb, yb, grads)
+                if not math.isfinite(loss):
+                    raise TrainingDiverged(step + 1, loss)
+                if cfg.optimizer == "sgd":
+                    sgd_step(p, grads, cfg.lr)
+                else:
+                    adam_step(p, grads, cfg.lr, adam, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+                step += 1
+                if capture_rewind and step == cfg.rewind_step:
+                    rewind = Checkpoint(step, p.copy())
+                if (step % cfg.eval_every == 0 or step == cfg.steps) and len(val_ds) > 0:
+                    records.append(TrainRecord(step, float(loss), _accuracy(p, p.weights, val_ds)))
     best_val = max((r.val_accuracy for r in records), default=None)
     return TrainResult(p, best_val, records, rewind)

@@ -122,6 +122,60 @@ def scalar_forward_logits(params, masks, batch, eps=1e-5):
     )
 
 
+def textbook_loss_and_grads(params, masks, batch, labels, eps=1e-5):
+    """Train-mode mean cross-entropy and its gradient, double precision, by the
+    textbook batch-norm backward: d_x_hat = gamma * d_bn and
+    d_z = inv_std / n * (n * d_x_hat - sum(d_x_hat) - x_hat * sum(d_x_hat * x_hat)).
+
+    Returns (loss, {(group, layer): grad}) for groups weights/biases/gamma/beta.
+    """
+    f64 = lambda v: np.asarray(v, dtype=np.float64)
+    n_hidden = len(params.weights) - 1
+    weights = [f64(w) * f64(m) for w, m in zip(params.weights, masks.masks)] + [f64(params.weights[-1])]
+    a = f64(batch)
+    n = a.shape[0]
+    inputs, x_hats, inv_stds, pre_relu = [], [], [], []
+    for l in range(n_hidden):
+        inputs.append(a)
+        z = a @ weights[l] + f64(params.biases[l])
+        mu = z.sum(axis=0) / n
+        var = ((z - mu) ** 2).sum(axis=0) / n
+        inv_std = 1.0 / np.sqrt(var + eps)
+        x_hat = (z - mu) * inv_std
+        bn = f64(params.gamma[l]) * x_hat + f64(params.beta[l])
+        x_hats.append(x_hat)
+        inv_stds.append(inv_std)
+        pre_relu.append(bn)
+        a = np.where(bn > 0, bn, 0.0)
+    inputs.append(a)
+    logits = a @ weights[-1] + f64(params.biases[-1])
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    prob = e / e.sum(axis=1, keepdims=True)
+    rows = np.arange(n)
+    loss = float(-np.log(prob[rows, labels]).sum() / n)
+
+    grads = {}
+    d = prob.copy()
+    d[rows, labels] -= 1.0
+    d /= n
+    grads[("weights", n_hidden)] = inputs[-1].T @ d
+    grads[("biases", n_hidden)] = d.sum(axis=0)
+    d_a = d @ weights[-1].T
+    for l in reversed(range(n_hidden)):
+        d_bn = np.where(pre_relu[l] > 0, d_a, 0.0)
+        x_hat = x_hats[l]
+        grads[("gamma", l)] = (d_bn * x_hat).sum(axis=0)
+        grads[("beta", l)] = d_bn.sum(axis=0)
+        d_x_hat = f64(params.gamma[l]) * d_bn
+        d_z = inv_stds[l] / n * (
+            n * d_x_hat - d_x_hat.sum(axis=0) - x_hat * (d_x_hat * x_hat).sum(axis=0)
+        )
+        grads[("weights", l)] = (inputs[l].T @ d_z) * f64(masks.masks[l])
+        grads[("biases", l)] = d_z.sum(axis=0)
+        d_a = d_z @ weights[l].T
+    return loss, grads
+
+
 def to_float64(params):
     """Double-precision copy of a ParamSet (for finite-difference work)."""
     return ParamSet(

@@ -198,6 +198,26 @@ class TestLossAndGrads:
                 worst = max(worst, oracles.max_relative_error(g, numeric[(group, l)]))
         assert worst < 1e-4
 
+    @pytest.mark.parametrize("dims,keep", [([12, 9, 8, 7, 3], 0.5), ([20, 6, 6, 6, 6, 4], 0.3)])
+    def test_matches_textbook_batchnorm_backward(self, rng, dims, keep):
+        params = oracles.to_float64(init_params(dims, seed=13))
+        for g, b in zip(params.gamma, params.beta):  # away from the init values 1 and 0
+            g[...] = rng.uniform(0.5, 1.5, g.shape)
+            b[...] = rng.uniform(-0.5, 0.5, b.shape)
+        masks = random_mask(rng, dims, keep=keep)
+        batch = rng.standard_normal((16, dims[0]))
+        labels = rng.integers(0, dims[-1], size=16)
+        loss, grads = loss_and_grads(params.copy(), masks, batch, labels)
+        ref_loss, ref = oracles.textbook_loss_and_grads(params, masks, batch, labels, eps=BN_EPS)
+        assert_allclose(loss, ref_loss, rtol=1e-9)
+        for group in ("weights", "biases", "gamma", "beta"):
+            for l, g in enumerate(getattr(grads, group)):
+                if group == "biases" and l < len(dims) - 2:
+                    # batch norm cancels a hidden bias: both sides are rounding residue
+                    assert_allclose(g, ref[(group, l)], rtol=0, atol=1e-12)
+                else:
+                    assert_allclose(g, ref[(group, l)], rtol=1e-9, atol=0, err_msg=f"{group}[{l}]")
+
 
 class TestAccuracy:
     def test_constant_logit_network_predicts_class_zero(self, rng):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ticketsift
 from ticketsift.datasets import ImageGeometry
 from ticketsift.network import MaskSet, init_params
 from ticketsift.pruner import (
@@ -274,6 +279,22 @@ def tiny_imp_config(**kw):
     return ImpConfig(**base)
 
 
+# A short run at the desk dims, in a fresh process so that its BLAS thread
+# count comes from the environment it starts with.
+DESK_THREAD_RUN = """
+import sys
+from ticketsift.datasets import ImageGeometry, generate_synthetic, split_train_val
+from ticketsift.pruner import ImpConfig, run_imp
+from ticketsift.trainer import TrainConfig
+
+full = generate_synthetic(ImageGeometry(32, 32, 1), 100, (12, 12, 8, 8), 4, 1.0, seed=0)
+train_ds, val_ds = split_train_val(full, 100, seed=0)
+train_cfg = TrainConfig(batch_size=100, lr=0.3, steps=20, eval_every=10, rewind_step=5, seed=0)
+cfg = ImpConfig(train_cfg=train_cfg, prune_fraction=0.3, rewind_step=5, max_iterations=1)
+run_imp([1024, 128, 128, 128, 4], train_ds, val_ds, cfg, sys.argv[1])
+"""
+
+
 class TestRunImp:
     def make_data(self, rng, n=24):
         return random_dataset(rng, GEOM, n, 2)
@@ -321,6 +342,18 @@ class TestRunImp:
             "iters/002/params.tkts",
         ]:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+    def test_desk_run_bytes_equal_at_one_and_two_blas_threads(self, tmp_path):
+        produced = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([str(Path(ticketsift.__file__).parents[1]), env.get("PYTHONPATH", "")])
+            root = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-c", DESK_THREAD_RUN, str(root)], env=env, check=True, timeout=300)
+            files = sorted(p for p in root.rglob("*") if p.suffix in (".tkms", ".tkts", ".csv"))
+            produced[threads] = {p.relative_to(root): p.read_bytes() for p in files}
+        assert len(produced["1"]) == 8  # 2 iterations x 3 files + rewind + summary curve
+        assert produced["1"] == produced["2"]
 
     def test_resume_extends_identically(self, rng, tmp_path):
         ds = self.make_data(rng)

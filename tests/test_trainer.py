@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -209,6 +211,14 @@ class TestTrain:
         with pytest.raises(TrainingDiverged) as err:
             train(params, MaskSet.full([16, 4, 2]), ds, ds, small_config(steps=2))
         assert err.value.step == 1
+
+    def test_divergence_raises_without_numpy_warnings(self, rng):
+        ds = self.make_data(rng)
+        dims = [16, 8, 4, 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged):
+                train(init_params(dims, seed=0), MaskSet.full(dims), ds, ds, small_config(lr=1e30))
 
     def test_masked_weights_stay_zero(self, rng):
         ds = self.make_data(rng)
