@@ -22,6 +22,9 @@ import numpy as np
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
+# generate_synthetic draws its noise in row blocks of about this many bytes,
+# so it holds one block beside its images instead of two full-size arrays.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,17 @@ def _read_idx(path, magic: int, ndim: int) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8, offset=header).reshape(dims)
 
 
+def _scale_bytes(raw: np.ndarray, out: np.ndarray) -> None:
+    """out = raw / 255 in float32 (each byte b to float32(b) / float32(255)),
+    written straight into out with no full-size temporary."""
+    np.divide(raw, np.float32(255.0), out=out, dtype=np.float32)
+
+
 def load_idx(images_path, labels_path) -> ImageDataset:
-    """Load a big-endian IDX image/label file pair (single channel)."""
+    """Load a big-endian IDX image/label file pair (single channel).
+
+    Pixel bytes are scaled straight into the one float32 image array.
+    """
     raw = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
     labels = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     if raw.shape[0] != labels.shape[0]:
@@ -155,7 +167,8 @@ def load_idx(images_path, labels_path) -> ImageDataset:
     if raw.shape[0] == 0:
         raise ValueError(f"IDX file {images_path} contains no images")
     geom = ImageGeometry(width=raw.shape[2], height=raw.shape[1], channels=1)
-    images = raw.reshape(raw.shape[0], -1).astype(np.float32) / 255.0
+    images = np.empty((raw.shape[0], geom.input_size), dtype=np.float32)
+    _scale_bytes(raw.reshape(raw.shape[0], -1), images)
     labels = labels.astype(np.int64)
     return ImageDataset(geom, images, labels, n_classes=int(labels.max()) + 1)
 
@@ -180,26 +193,37 @@ def load_cifar_binary(paths) -> ImageDataset:
     """Load CIFAR-style binary batches: 3073-byte records, channel-planar pixels.
 
     The record pixel order (channel plane, then rows) matches the canonical
-    layout directly, so bytes map onto flat rows without reordering.
+    layout directly, so bytes map onto flat rows without reordering. The
+    images are allocated once from the file sizes, and each file's records
+    are scaled straight into their own rows, so only one file's bytes are
+    held beside the result.
     """
     if isinstance(paths, (str, Path)):
         paths = [paths]
     if not paths:
         raise ValueError("no CIFAR batch files given")
-    images, labels = [], []
-    for path in paths:
-        data = Path(path).read_bytes()
-        if len(data) == 0 or len(data) % CIFAR_RECORD_BYTES != 0:
+    sizes = [Path(path).stat().st_size for path in paths]
+    for path, size in zip(paths, sizes):
+        if size == 0 or size % CIFAR_RECORD_BYTES != 0:
             raise ValueError(
-                f"CIFAR file {path} has {len(data)} bytes, "
+                f"CIFAR file {path} has {size} bytes, "
                 f"not a positive multiple of {CIFAR_RECORD_BYTES}"
             )
-        recs = np.frombuffer(data, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        labels.append(recs[:, 0])
-        images.append(recs[:, 1:])
+    n = sum(sizes) // CIFAR_RECORD_BYTES
     geom = ImageGeometry(width=32, height=32, channels=3)
-    flat = np.concatenate(images).astype(np.float32) / 255.0
-    return ImageDataset(geom, flat, np.concatenate(labels).astype(np.int64), n_classes=10)
+    images = np.empty((n, geom.input_size), dtype=np.float32)
+    labels = np.empty(n, dtype=np.int64)
+    row = 0
+    for path, size in zip(paths, sizes):
+        data = Path(path).read_bytes()
+        if len(data) != size:
+            raise ValueError(f"CIFAR file {path} changed size while being read")
+        recs = np.frombuffer(data, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
+        end = row + recs.shape[0]
+        labels[row:end] = recs[:, 0]
+        _scale_bytes(recs[:, 1:], images[row:end])
+        row = end
+    return ImageDataset(geom, images, labels, n_classes=10)
 
 
 def save_cifar_binary(ds: ImageDataset, path) -> None:
@@ -227,6 +251,10 @@ def generate_synthetic(
     every pixel is mid-gray background. The same i.i.d. Gaussian noise is
     added everywhere, so pixels outside the patch carry no label information
     and with noise_sd=0 all images of a class are identical.
+
+    The noise is drawn and added in row blocks of about BLOCK_BYTES; the
+    blocks take the generator's draws in row order, so the images equal
+    those of one full-size draw.
     """
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
@@ -244,10 +272,13 @@ def generate_synthetic(
     n = n_classes * n_per_class
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
     images = np.full((n, geom.input_size), 0.5, dtype=np.float32)
-    images[:, patch_idx] = patterns[labels]
-    if noise_sd > 0:
-        images += noise_sd * rng.standard_normal(images.shape, dtype=np.float32)
-    np.clip(images, 0.0, 1.0, out=images)
+    rows = max(1, BLOCK_BYTES // (4 * geom.input_size))
+    for lo in range(0, n, rows):
+        block = images[lo : lo + rows]
+        block[:, patch_idx] = patterns[labels[lo : lo + rows]]
+        if noise_sd > 0:
+            block += noise_sd * rng.standard_normal(block.shape, dtype=np.float32)
+        np.clip(block, 0.0, 1.0, out=block)
     perm = rng.permutation(n)
     return ImageDataset(geom, images[perm], labels[perm], n_classes)
 
@@ -364,21 +395,30 @@ def translate_wrap(batch: np.ndarray, geom: ImageGeometry, shift) -> np.ndarray:
 
 
 def translate_wrap_each(batch: np.ndarray, geom: ImageGeometry, shifts: np.ndarray) -> np.ndarray:
-    """translate_wrap with an individual (dx, dy) per image in the batch."""
+    """translate_wrap with an individual (dx, dy) per image in the batch.
+
+    Source rows (y - dy) % H and columns (x - dx) % W are computed per image
+    as (N, H) and (N, W) tables; one broadcast sum turns them into flat
+    source offsets and one gather reads the pixels.
+    """
     n0 = geom.input_size
     if batch.ndim != 2 or batch.shape[1] != n0:
         raise ValueError(f"batch must be (N, {n0})")
     shifts = np.asarray(shifts)
-    if shifts.shape != (batch.shape[0], 2):
+    n = batch.shape[0]
+    if shifts.shape != (n, 2):
         raise ValueError("need one (dx, dy) per image")
-    plane = geom.height * geom.width
-    idx = np.arange(n0)
-    c, rem = np.divmod(idx, plane)
-    y, x = np.divmod(rem, geom.width)
-    sx = (x[None, :] - shifts[:, 0:1]) % geom.width
-    sy = (y[None, :] - shifts[:, 1:2]) % geom.height
-    src = c[None, :] * plane + sy * geom.width + sx
-    return np.take_along_axis(batch, src, axis=1)
+    h, w = geom.height, geom.width
+    src_x = (np.arange(w) - shifts[:, 0:1]) % w
+    src_y = (np.arange(h) - shifts[:, 1:2]) % h
+    # offset of source row y of channel c in image i, as (N, C, H)
+    row_start = (
+        (np.arange(n) * n0)[:, None, None]
+        + (np.arange(geom.channels) * (h * w))[None, :, None]
+        + (src_y * w)[:, None, :]
+    )
+    src = row_start[..., None] + src_x[:, None, None, :]
+    return np.take(batch, src).reshape(n, n0)
 
 
 def split_train_val(ds: ImageDataset, n_val: int, seed: int):

@@ -28,14 +28,18 @@ PIXEL_LAYOUT = "index = c*H*W + y*W + x"
 
 
 class _Reader:
-    """Strict byte cursor: raises on truncation and on trailing garbage."""
+    """Strict byte cursor: raises on truncation and on trailing garbage.
+
+    take returns memoryview slices of the file's bytes, so a payload is
+    copied only when its reader copies it into an array.
+    """
 
     def __init__(self, data: bytes, path):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise ValueError(f"truncated file {self.path}")
         out = self.data[self.pos : self.pos + n]
@@ -51,7 +55,7 @@ class _Reader:
 
 
 def _check_header(r: _Reader, magic: bytes) -> None:
-    got = r.take(4)
+    got = bytes(r.take(4))
     if got != magic:
         raise ValueError(f"bad magic {got!r} in {r.path}, expected {magic!r}")
     (version,) = r.unpack("<I")
@@ -61,10 +65,13 @@ def _check_header(r: _Reader, magic: bytes) -> None:
 
 def save_checkpoint(path, params: ParamSet) -> None:
     """Write a ParamSet as float32: a header, then its buffer (per layer: weights,
-    biases and, for hidden layers, gamma, beta, running mean, running variance)."""
+    biases and, for hidden layers, gamma, beta, running mean, running variance),
+    written from the array without a bytes copy."""
     dims = params.dims
     header = CHECKPOINT_MAGIC + struct.pack(f"<II{len(dims)}I", FORMAT_VERSION, len(dims) - 1, *dims)
-    Path(path).write_bytes(header + params._flat.astype(np.float32, copy=False).tobytes())
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(np.ascontiguousarray(params._flat, dtype=np.float32))
 
 
 def load_checkpoint(path) -> ParamSet:
@@ -118,20 +125,21 @@ def load_masks(path) -> MaskSet:
 
 def save_split(path, ds: ImageDataset) -> None:
     """Write a dataset split: a header (width, height, channels, n, n_classes),
-    the float32 images row-major, then the int64 labels. valid_mask is not
-    stored."""
+    the float32 images row-major, then the int64 labels, each written from its
+    array without a bytes copy. valid_mask is not stored."""
     g = ds.geometry
     header = SPLIT_MAGIC + struct.pack(
         "<6I", FORMAT_VERSION, g.width, g.height, g.channels, len(ds), ds.n_classes
     )
     with open(path, "wb") as f:
         f.write(header)
-        f.write(ds.images.astype("<f4", copy=False).tobytes())
-        f.write(ds.labels.astype("<i8", copy=False).tobytes())
+        f.write(np.ascontiguousarray(ds.images, dtype="<f4"))
+        f.write(np.ascontiguousarray(ds.labels, dtype="<i8"))
 
 
 def load_split(path) -> ImageDataset:
-    """Read a save_split file; ImageDataset validates pixel and label ranges."""
+    """Read a save_split file; ImageDataset validates pixel and label ranges.
+    Each payload is copied once, from the file's bytes into its array."""
     r = _Reader(Path(path).read_bytes(), path)
     _check_header(r, SPLIT_MAGIC)
     width, height, channels, n, n_classes = r.unpack("<5I")

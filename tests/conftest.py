@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 # One BLAS thread unless the environment says otherwise, set before numpy is
 # imported: the desk runs are fastest as parallel one-thread processes, and a
@@ -21,3 +22,14 @@ def random_dataset(rng, geom: ImageGeometry, n: int, n_classes: int) -> ImageDat
     images = rng.random((n, geom.input_size), dtype=np.float32)
     labels = rng.integers(0, n_classes, size=n)
     return ImageDataset(geom, images, labels, n_classes)
+
+
+def traced_peak(fn):
+    """(fn(), peak bytes allocated while fn ran), by tracemalloc, which sees
+    numpy's array buffers as well as Python objects."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -176,6 +176,34 @@ def textbook_loss_and_grads(params, masks, batch, labels, eps=1e-5):
     return loss, grads
 
 
+def one_shot_synthetic(geom, n_per_class, patch, n_classes, noise_sd, seed):
+    """(images, labels) of generate_synthetic made in one piece: the noise is
+    one full-size standard-normal draw added at once, between the class
+    patterns and the permutation, as the generator's stream order requires."""
+    x0, y0, pw, ph = patch
+    plane = geom.height * geom.width
+    patch_idx = np.array([c * plane + y * geom.width + x
+                          for c in range(geom.channels)
+                          for y in range(y0, y0 + ph)
+                          for x in range(x0, x0 + pw)])
+    rng = np.random.default_rng(seed)
+    patterns = rng.uniform(0.0, 1.0, size=(n_classes, patch_idx.size)).astype(np.float32)
+    n = n_classes * n_per_class
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
+    images = np.full((n, geom.input_size), 0.5, dtype=np.float32)
+    images[:, patch_idx] = patterns[labels]
+    if noise_sd > 0:
+        images += noise_sd * rng.standard_normal(images.shape, dtype=np.float32)
+    np.clip(images, 0.0, 1.0, out=images)
+    perm = rng.permutation(n)
+    return images[perm], labels[perm]
+
+
+def bytes_to_unit_float(raw):
+    """Pixel bytes as float32 in [0, 1]: convert the whole array, then divide."""
+    return np.asarray(raw, dtype=np.uint8).astype(np.float32) / 255.0
+
+
 def to_float64(params):
     """Double-precision copy of a ParamSet (for finite-difference work)."""
     return ParamSet(

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import random_dataset
+import oracles
+from conftest import random_dataset, traced_peak
 from ticketsift.datasets import (
+    BLOCK_BYTES,
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
     ClassMapping,
@@ -117,6 +119,14 @@ class TestIdx:
         with pytest.raises(ValueError, match="mismatch"):
             load_idx(images_path, labels_path)
 
+    def test_bytes_match_whole_array_conversion(self, tmp_path, rng):
+        pixels = rng.integers(0, 256, size=(37, 9, 7), dtype=np.uint8)
+        pixels.flat[:256] = np.arange(256)  # every byte value
+        ds = load_idx(*make_idx_pair(tmp_path, pixels, list(range(37))))
+        want = oracles.bytes_to_unit_float(pixels.reshape(37, -1))
+        assert ds.images.dtype == want.dtype
+        assert ds.images.tobytes() == want.tobytes()
+
     def test_save_round_trip(self, tmp_path, rng):
         ds = random_dataset(rng, ImageGeometry(3, 4, 1), 5, 7)
         save_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx")
@@ -156,6 +166,27 @@ class TestCifar:
         a.write_bytes(rec * 2)
         b.write_bytes(rec)
         assert len(load_cifar_binary([a, b])) == 3
+
+    def test_multi_file_bytes_match_whole_array_conversion(self, tmp_path, rng):
+        recs = rng.integers(0, 256, size=(9, 3073), dtype=np.uint8)
+        recs[:, 0] %= 10
+        recs[0, 1:257] = np.arange(256)  # every byte value
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin", tmp_path / "c.bin"]
+        for path, part in zip(paths, np.split(recs, [4, 5])):  # 4, 1 and 4 records
+            path.write_bytes(part.tobytes())
+        ds = load_cifar_binary(paths)
+        want = oracles.bytes_to_unit_float(recs[:, 1:])
+        assert ds.images.tobytes() == want.tobytes()
+        assert_array_equal(ds.labels, recs[:, 0])
+
+    def test_peak_memory_is_one_image_array_and_one_file(self, tmp_path, rng):
+        n = 800
+        save_cifar_binary(random_dataset(rng, ImageGeometry(32, 32, 3), n, 10), tmp_path / "b.bin")
+        ds, peak = traced_peak(lambda: load_cifar_binary([tmp_path / "b.bin"]))
+        assert len(ds) == n
+        # the result (4 bytes a pixel) and the file (1 byte a pixel) are 1.25x;
+        # converting all records at once held 2.25x
+        assert peak <= 1.35 * (ds.images.nbytes + ds.labels.nbytes)
 
     def test_save_round_trip(self, tmp_path, rng):
         ds = random_dataset(rng, ImageGeometry(32, 32, 3), 4, 10)
@@ -205,6 +236,26 @@ class TestSynthetic:
         assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
         with pytest.raises(ValueError):
             generate_synthetic(self.GEOM, 4, (14, 0, 5, 3), 3, 0.0, seed=0)
+
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.3])
+    def test_bytes_match_one_shot_generation(self, noise_sd):
+        geom = ImageGeometry(32, 32, 1)
+        rows = BLOCK_BYTES // (4 * geom.input_size)
+        n_per_class = 310  # 3 * 310 rows are 3 full blocks and part of a fourth
+        assert 3 * n_per_class > 3 * rows and (3 * n_per_class) % rows != 0
+        ds = generate_synthetic(geom, n_per_class, (5, 9, 7, 4), 3, noise_sd, seed=4)
+        images, labels = oracles.one_shot_synthetic(geom, n_per_class, (5, 9, 7, 4), 3, noise_sd, 4)
+        assert ds.images.tobytes() == images.tobytes()
+        assert_array_equal(ds.labels, labels)
+
+    def test_peak_memory_is_two_image_arrays(self):
+        # desk-recipe size: 5000 images of 32x32, about 20 MiB
+        ds, peak = traced_peak(
+            lambda: generate_synthetic(ImageGeometry(32, 32, 1), 1250, (12, 12, 8, 8), 4, 1.0, 1)
+        )
+        # the images and their permuted copy are 2x; a full-size noise draw
+        # and its scaled copy beside the images held 3x
+        assert peak <= 2.2 * (ds.images.nbytes + ds.labels.nbytes)
 
     def test_nan_noise_rejected(self):
         with pytest.raises(ValueError, match="noise_sd"):
@@ -364,6 +415,25 @@ class TestTranslate:
         assert_array_equal(
             translate_wrap_each(batch, geom, shifts), translate_wrap(batch, geom, (1, 2))
         )
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_distinct_shifts_match_translate_wrap_image_by_image(self, rng, channels):
+        geom = ImageGeometry(5, 4, channels)
+        # negative shifts, zero, and shifts of a full side or more
+        shifts = np.array([[0, 0], [1, 2], [-1, -3], [5, 4], [7, -9], [-11, 13], [4, 0], [0, 3]])
+        batch = rng.random((len(shifts), geom.input_size), dtype=np.float32)
+        out = translate_wrap_each(batch, geom, shifts)
+        assert out.shape == batch.shape
+        for i, (dx, dy) in enumerate(shifts):
+            assert_array_equal(out[i], translate_wrap(batch[i : i + 1], geom, (dx, dy))[0])
+
+    def test_per_image_shift_shape_checked(self, rng):
+        geom = ImageGeometry(4, 4, 1)
+        batch = rng.random((3, 16), dtype=np.float32)
+        with pytest.raises(ValueError, match="per image"):
+            translate_wrap_each(batch, geom, np.zeros((2, 2), dtype=int))
+        with pytest.raises(ValueError, match="batch"):
+            translate_wrap_each(batch[:, :15], geom, np.zeros((3, 2), dtype=int))
 
 
 class TestSplit:

@@ -26,7 +26,7 @@ from ticketsift.reports import (
 from ticketsift.trainer import TrainRecord
 
 import oracles
-from conftest import random_dataset
+from conftest import random_dataset, traced_peak
 
 
 def parse_netpbm(path):
@@ -107,6 +107,15 @@ class TestCheckpointFile:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(path)
+
+    def test_save_and_load_copy_the_payload_at_most_once(self, tmp_path):
+        params = init_params([1024, 256, 128, 4], seed=0)
+        payload = sum(a.nbytes for a in params_arrays(params))
+        path = tmp_path / "ckpt.tkts"
+        _, peak = traced_peak(lambda: save_checkpoint(path, params))
+        assert peak <= 0.1 * payload  # written from the buffer itself
+        _, peak = traced_peak(lambda: load_checkpoint(path))
+        assert peak <= 2.1 * payload  # the file's bytes, then the one copy
 
     def test_matches_field_by_field_writer(self, rng, tmp_path):
         for dims in ([4, 3, 2], [6, 5, 4, 3], [16, 6, 5, 2]):
@@ -199,6 +208,15 @@ class TestSplitFile:
         assert back.labels.dtype == np.int64
         size = 4 + 4 * 6 + n * (4 * geom.input_size + 8)
         assert (tmp_path / "v.tkds").stat().st_size == size
+
+    def test_save_and_load_copy_each_payload_at_most_once(self, rng, tmp_path):
+        ds = random_dataset(rng, ImageGeometry(32, 32, 1), 1000, 4)
+        payload = ds.images.nbytes + ds.labels.nbytes
+        path = tmp_path / "v.tkds"
+        _, peak = traced_peak(lambda: save_split(path, ds))
+        assert peak <= 0.1 * payload  # written from the arrays themselves
+        _, peak = traced_peak(lambda: load_split(path))
+        assert peak <= 2.1 * payload  # the file's bytes, then one copy of each array
 
     def test_damaged_files_rejected(self, rng, tmp_path):
         path = tmp_path / "v.tkds"
