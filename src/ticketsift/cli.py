@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import struct
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -25,6 +24,7 @@ from .datasets import (
     ImageGeometry,
     _cluster_labels,
     _read_idx,
+    _save_idx_labels,
     cluster_classes,
     generate_synthetic,
     load_cifar_binary,
@@ -274,25 +274,17 @@ def _load_iteration(run_dir: Path, iteration: int):
     raise ValueError(f"run has no iteration {iteration} (available: {have})")
 
 
+def _recorded(manifest: dict, key: str):
+    """A manifest value the analyses read, which runs made before it was
+    recorded lack until imp brings them up to date."""
+    if not manifest.get(key):
+        raise ValueError(f"manifest records no {key}; run imp with the run's config again "
+                         "to bring the run directory up to date")
+    return manifest[key]
+
+
 def _manifest_geometry(manifest: dict) -> ImageGeometry:
-    """The recorded image geometry; manifests written before it was recorded
-    fall back to the run configuration (square single-channel for IDX)."""
-    if manifest.get("geometry"):
-        return ImageGeometry(**manifest["geometry"])
-    cfg = manifest.get("run_config")
-    if not cfg:
-        raise ValueError("manifest carries no run configuration")
-    d = cfg["dataset"]
-    if d["format"] == "synthetic":
-        s = d["synthetic"]
-        return ImageGeometry(s["width"], s["height"], s["channels"])
-    if d["format"] == "cifar":
-        return ImageGeometry(32, 32, 3)
-    dims = manifest["dims"]
-    side = int(round(dims[0] ** 0.5))
-    if side * side != dims[0]:
-        raise ValueError("cannot infer a square single-channel geometry from the manifest")
-    return ImageGeometry(side, side, 1)
+    return ImageGeometry(**_recorded(manifest, "geometry"))
 
 
 def _analysis_dir(run_dir: Path) -> Path:
@@ -305,9 +297,10 @@ def cmd_analyze(args) -> int:
     run_dir = Path(args.run_dir)
     manifest, entry = _load_iteration(run_dir, args.iteration)
     masks = reports.load_masks(run_dir / entry["mask_file"])
+    obs = args.observable
+    geom = _manifest_geometry(manifest) if obs in ("locality", "locality-binned", "pixmap") else None
     out_dir = _analysis_dir(run_dir)
     stem = f"iter{args.iteration:03d}"
-    obs = args.observable
 
     if obs == "conn":
         hist = connectivity(masks, args.layer, args.direction, args.bin_width)
@@ -319,7 +312,6 @@ def cmd_analyze(args) -> int:
         print(f"wrote {base}.csv")
         return 0
 
-    geom = _manifest_geometry(manifest)
     if obs in ("locality", "locality-binned"):
         if not 1 <= args.layer <= len(masks.masks):
             raise ValueError(f"layer must lie in [1, {len(masks.masks)}]")
@@ -381,18 +373,14 @@ def cmd_analyze(args) -> int:
 
 
 def _validation_split(run_dir: Path, manifest: dict):
-    """The validation split the run evaluated on: its stored file, or, for runs
-    made before the split was stored, a rebuild from the run configuration."""
-    if not manifest.get("val_file"):
-        if not manifest.get("run_config"):
-            raise ValueError("manifest carries no run configuration; cannot rebuild the dataset")
-        return build_dataset(manifest["run_config"])[1]
-    val_ds = reports.load_split(run_dir / manifest["val_file"])
+    """The validation split the run evaluated on, as its stored file."""
+    val_file = _recorded(manifest, "val_file")
+    val_ds = reports.load_split(run_dir / val_file)
     geom = _manifest_geometry(manifest)
     if val_ds.geometry != geom:
-        raise ValueError(f"{manifest['val_file']} holds {val_ds.geometry} images, the run {geom}")
+        raise ValueError(f"{val_file} holds {val_ds.geometry} images, the run {geom}")
     if val_ds.n_classes != manifest["dims"][-1]:
-        raise ValueError(f"{manifest['val_file']} holds {val_ds.n_classes} classes, "
+        raise ValueError(f"{val_file} holds {val_ds.n_classes} classes, "
                          f"the network {manifest['dims'][-1]} outputs")
     return val_ds
 
@@ -477,10 +465,7 @@ def cmd_cluster(args) -> int:
         if not args.labels:
             raise ValueError("idx clustering needs --labels")
         labels = _read_idx(args.labels, IDX_LABEL_MAGIC, 1).astype(np.int64)
-        mapped = _cluster_labels(labels, args.mode, mapping)[0]
-        with open(args.out, "wb") as f:
-            f.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.size))
-            f.write(mapped.astype(np.uint8).tobytes())
+        _save_idx_labels(args.out, *_cluster_labels(labels, args.mode, mapping))
     else:
         if not args.data:
             raise ValueError("cifar clustering needs --data")
@@ -488,7 +473,10 @@ def cmd_cluster(args) -> int:
         if len(data) == 0 or len(data) % CIFAR_RECORD_BYTES != 0:
             raise ValueError(f"{args.data} is not a CIFAR binary batch")
         recs = np.frombuffer(data, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES).copy()
-        recs[:, 0] = _cluster_labels(recs[:, 0].astype(np.int64), args.mode, mapping)[0].astype(np.uint8)
+        mapped, n_macro = _cluster_labels(recs[:, 0].astype(np.int64), args.mode, mapping)
+        if n_macro > 10:
+            raise ValueError(f"CIFAR labels must be < 10; the mapping has {n_macro} macro classes")
+        recs[:, 0] = mapped
         Path(args.out).write_bytes(recs.tobytes())
     print(f"wrote {args.out}")
     return 0

@@ -173,20 +173,25 @@ def load_idx(images_path, labels_path) -> ImageDataset:
     return ImageDataset(geom, images, labels, n_classes=int(labels.max()) + 1)
 
 
+def _save_idx_labels(path, labels: np.ndarray, n_classes: int) -> None:
+    """Write labels, each < n_classes, as an IDX label file of single bytes."""
+    if n_classes > 256:
+        raise ValueError(f"IDX labels are single bytes; need n_classes <= 256, got {n_classes}")
+    with open(path, "wb") as f:
+        f.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.size))
+        f.write(labels.astype(np.uint8).tobytes())
+
+
 def save_idx(ds: ImageDataset, images_path, labels_path) -> None:
     """Write a single-channel dataset as an IDX image/label pair."""
     if ds.geometry.channels != 1:
         raise ValueError("IDX export supports single-channel images only")
-    if ds.n_classes > 256:
-        raise ValueError("IDX labels are single bytes; need n_classes <= 256")
+    _save_idx_labels(labels_path, ds.labels, ds.n_classes)
     n, h, w = len(ds), ds.geometry.height, ds.geometry.width
     pixels = np.floor(ds.images * 255.0 + 0.5).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w))
         f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
-        f.write(ds.labels.astype(np.uint8).tobytes())
 
 
 def load_cifar_binary(paths) -> ImageDataset:

@@ -67,9 +67,11 @@ def _prunable(layers, n_hidden: int):
     return layers
 
 
-def prune_step(params: ParamSet, masks: MaskSet, fraction: float, layers=None) -> MaskSet:
-    """Remove the floor(fraction * surviving) smallest-|w| surviving weights of
-    each listed hidden layer (1-based; default all). Returns a new MaskSet."""
+def _prune_layers(masks: MaskSet, fraction: float, layers, select) -> MaskSet:
+    """Remove k = floor(fraction * surviving) weights from each listed hidden
+    layer (1-based; None = all): the ones that select(layer, surviving, k)
+    picks from the layer's surviving flat indices, as a boolean mask over
+    them or as positions into them. Returns a new MaskSet."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
     out = masks.copy()
@@ -77,17 +79,25 @@ def prune_step(params: ParamSet, masks: MaskSet, fraction: float, layers=None) -
         flat_mask = out.masks[layer - 1].ravel()
         surviving = np.flatnonzero(flat_mask)
         k = math.floor(fraction * surviving.size)
-        if k == 0:
-            continue
+        if k:
+            flat_mask[surviving[select(layer, surviving, k)]] = 0
+    return out
+
+
+def prune_step(params: ParamSet, masks: MaskSet, fraction: float, layers=None) -> MaskSet:
+    """Remove the floor(fraction * surviving) smallest-|w| surviving weights of
+    each listed hidden layer (1-based; default all). Returns a new MaskSet."""
+
+    def smallest(layer, surviving, k):
         magnitudes = np.abs(params.weights[layer - 1].ravel()[surviving])
         # the k smallest in a stable sort on |w|: everything below the k-th
         # smallest value, then the first ties in ascending flat index
         kth = np.partition(magnitudes, k - 1)[k - 1]
-        below = magnitudes < kth
-        ties = np.flatnonzero(magnitudes == kth)[: k - np.count_nonzero(below)]
-        flat_mask[surviving[below]] = 0
-        flat_mask[surviving[ties]] = 0
-    return out
+        drop = magnitudes < kth
+        drop[np.flatnonzero(magnitudes == kth)[: k - np.count_nonzero(drop)]] = True
+        return drop
+
+    return _prune_layers(masks, fraction, layers, smallest)
 
 
 def density(masks: MaskSet):
@@ -123,19 +133,9 @@ def stop_condition(masks: MaskSet, threshold: float = 0.8) -> bool:
 
 def random_prune(masks: MaskSet, fraction: float, seed: int, layers=None) -> MaskSet:
     """Like prune_step but removes uniformly random surviving weights."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
     rng = np.random.default_rng(seed)
-    out = masks.copy()
-    for layer in _prunable(layers, len(masks.masks)):
-        flat_mask = out.masks[layer - 1].ravel()
-        surviving = np.flatnonzero(flat_mask)
-        k = math.floor(fraction * surviving.size)
-        if k == 0:
-            continue
-        drop = rng.choice(surviving.size, size=k, replace=False)
-        flat_mask[surviving[drop]] = 0
-    return out
+    return _prune_layers(masks, fraction, layers,
+                         lambda layer, surviving, k: rng.choice(surviving.size, size=k, replace=False))
 
 
 @dataclass
@@ -180,18 +180,18 @@ def _config_fingerprint(dims, imp_config: dict, run_config) -> dict:
     return json.loads(json.dumps(d))
 
 
-def _write_run_manifest(run: ImpRun, geometry, imp_config, run_config, val_file) -> None:
+def _write_run_manifest(run: ImpRun, geometry, imp_config, run_config, created_at) -> None:
     data = {
         "format_version": reports.FORMAT_VERSION,
         "kind": "imp",
         "pixel_layout": reports.PIXEL_LAYOUT,
-        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "created_at": created_at,
         "dims": list(run.dims),
         "geometry": asdict(geometry),
         "imp_config": imp_config,
         "run_config": run_config,
         "rewind_file": "rewind.tkts",
-        "val_file": val_file,
+        "val_file": "val.tkds",
         "stopped_reason": run.stopped_reason,
         "iterations": [{k: v for k, v in vars(it).items() if k != "masks"} for it in run.iterations],
     }
@@ -213,11 +213,13 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     raises ValueError, as do settings that do not fit train_ds, before run_dir
     is touched. A given run_config must give dims and cfg under imp_settings;
     without one the manifest stores cfg as imp_config and keeps any recorded
-    run configuration. The manifest records the image geometry of train_ds.
-    Iteration 0, once the dense run has trained, also stores val_ds in
-    val.tkds, which the analyses evaluate on, so a dense run that fails leaves
-    no file; a resume leaves that file as it is (runs made before it existed
-    have none).
+    run configuration. The manifest records the image geometry of train_ds
+    and keeps the created_at of the run's first write. Iteration 0, once the
+    dense run has trained, also stores val_ds in val.tkds, which the analyses
+    evaluate on, so a dense run that fails leaves no file. Every resume,
+    including one of a finished run, rewrites the manifest in the current
+    shape; it writes val_ds to val.tkds only for a run made before that file
+    existed and otherwise leaves the file as it is.
     """
     dims = check_dims(dims)
     if dims[0] != train_ds.geometry.input_size:
@@ -232,7 +234,6 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     run_dir.mkdir(parents=True, exist_ok=True)
     master = cfg.train_cfg.seed
     run = ImpRun(dims, cfg, [], None, "max_iterations", run_dir)
-    val_file = "val.tkds"
 
     if (run_dir / "manifest.json").is_file():
         manifest = reports.load_manifest(run_dir)
@@ -251,7 +252,10 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
         run.stopped_reason = manifest.get("stopped_reason", "")
         if run_config is None:  # keep the recorded configuration
             run_config = manifest.get("run_config")
-        val_file = manifest.get("val_file")
+        created_at = manifest["created_at"]
+        if not manifest.get("val_file"):  # a run made before the split was stored
+            reports.save_split(run_dir / "val.tkds", val_ds)
+        _write_run_manifest(run, train_ds.geometry, imp_config, run_config, created_at)
         if run.stopped_reason == "node_fraction" or len(run.iterations) > cfg.max_iterations:
             return run
         params = reports.load_checkpoint(run_dir / run.iterations[-1].params_file)
@@ -263,16 +267,17 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
             masks = prune_step(params, run.iterations[-1].masks, cfg.prune_fraction, cfg.layers_to_prune)
             if stop_condition(masks, cfg.stop_node_fraction):
                 run.stopped_reason = "node_fraction"
-                _write_run_manifest(run, train_ds.geometry, imp_config, run_config, val_file)
+                _write_run_manifest(run, train_ds.geometry, imp_config, run_config, created_at)
                 break
             start = rewind(params, run.rewind_ckpt, masks)
         # train reads rewind_step only under capture_rewind
         cfg_n = replace(cfg.train_cfg, seed=iteration_seed(master, n), rewind_step=cfg.rewind_step)
         result = train(start, masks, train_ds, val_ds, cfg_n, capture_rewind=n == 0)
         params = result.params
-        if n == 0:
+        if n == 0:  # the run's first write
+            created_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
             run.rewind_ckpt = result.rewind
-            reports.save_split(run_dir / val_file, val_ds)
+            reports.save_split(run_dir / "val.tkds", val_ds)
             reports.save_checkpoint(run_dir / "rewind.tkts", run.rewind_ckpt.params)
         stem = f"iters/{n:03d}"
         it = ImpIteration(n, *density(masks), result.best_val, masks,
@@ -282,6 +287,6 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
         reports.save_checkpoint(run_dir / it.params_file, params)
         reports.export_train_curve_csv(result.records, run_dir / it.curve_file)
         run.iterations.append(it)
-        _write_run_manifest(run, train_ds.geometry, imp_config, run_config, val_file)
+        _write_run_manifest(run, train_ds.geometry, imp_config, run_config, created_at)
 
     return run

@@ -1,4 +1,5 @@
 import json
+import shutil
 import struct
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -365,6 +366,16 @@ class TestImpCommand:
         assert main(["imp", "--config", config]) == 0
         assert "completed 3 iterations" in capsys.readouterr().out
 
+    def test_rerun_of_a_finished_run_changes_no_byte(self, tmp_path, capsys):
+        raw = base_config(tmp_path / "run")
+        raw["imp"]["max_iterations"] = 1
+        config = write_config(tmp_path / "c.json", raw)
+        assert main(["imp", "--config", config]) == 0
+        before = {p: p.read_bytes() for p in (tmp_path / "run").rglob("*") if p.is_file()}
+        assert main(["imp", "--config", config]) == 0
+        assert "completed 2 iterations (max_iterations)" in capsys.readouterr().out
+        assert {p: p.read_bytes() for p in (tmp_path / "run").rglob("*") if p.is_file()} == before
+
     def test_resume_with_other_dataset_rejected(self, tmp_path, capsys):
         raw = base_config(tmp_path / "run")
         raw["dataset"]["seed"] = 4
@@ -452,7 +463,7 @@ class TestImpCommand:
         assert manifest["run_config"] == recorded
         assert main(["ablate", str(tmp_path / "run"), "--iteration", "2"]) == 0
 
-    def test_non_square_idx_geometry_recorded(self, tmp_path, rng):
+    def test_non_square_idx_geometry_recorded(self, tmp_path, rng, capsys):
         # 8 x 2 pixels is 16 inputs, which the square rule reads as 4 x 4
         geom = ImageGeometry(8, 2, 1)
         images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
@@ -460,7 +471,8 @@ class TestImpCommand:
         raw = base_config(tmp_path / "run")
         raw["dataset"] = {"format": "idx", "paths": [str(images), str(labels)], "n_val": 16}
         raw["imp"]["max_iterations"] = 1
-        assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 0
+        config = write_config(tmp_path / "c.json", raw)
+        assert main(["imp", "--config", config]) == 0
         manifest_path = tmp_path / "run/manifest.json"
         manifest = json.loads(manifest_path.read_text())
         assert manifest["geometry"] == {"width": 8, "height": 2, "channels": 1}
@@ -469,11 +481,18 @@ class TestImpCommand:
         csv = tmp_path / "run/analysis/iter001_locality_l1_same.csv"
         assert main(argv) == 0
         assert np.array_equal(load_locality_csv(csv), locality_map(masks.masks[0], geom, "same").grid)
-        # a manifest written before the geometry was recorded keeps the square rule
+        untouched = csv.read_bytes()
+        # a manifest written before the geometry was recorded is refused until imp reruns
+        shutil.rmtree(tmp_path / "run/analysis")
         del manifest["geometry"]
         manifest_path.write_text(json.dumps(manifest))
+        assert main(argv) == 1
+        assert "manifest records no geometry; run imp" in capsys.readouterr().err
+        assert not (tmp_path / "run/analysis").exists()
+        assert main(["imp", "--config", config]) == 0
+        assert json.loads(manifest_path.read_text())["geometry"] == {"width": 8, "height": 2, "channels": 1}
         assert main(argv) == 0
-        assert load_locality_csv(csv).shape == (7, 7)
+        assert csv.read_bytes() == untouched
 
     def test_config_without_imp_section_rejected(self, tmp_path, capsys):
         raw = base_config(tmp_path / "run")
@@ -631,10 +650,11 @@ class TestAblateCommand:
                 tmp_path / "run")
         assert main(["ablate", str(tmp_path / "run"), "--iteration", "1"]) == 0
 
-    def test_legacy_manifest_rebuilds_the_same_split(self, tmp_path):
+    def test_legacy_manifest_rebuilds_the_same_split(self, tmp_path, capsys):
         raw = base_config(tmp_path / "run")
         raw["imp"]["max_iterations"] = 1
-        assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 0
+        config = write_config(tmp_path / "c.json", raw)
+        assert main(["imp", "--config", config]) == 0
         argv = ["ablate", str(tmp_path / "run"), "--iteration", "1", "--counts", "0,2,5,8"]
         csv = tmp_path / "run/analysis/iter001_ablation.csv"
         assert main(argv) == 0
@@ -644,7 +664,17 @@ class TestAblateCommand:
         del manifest["val_file"]  # as runs were written before the split was stored
         manifest_path.write_text(json.dumps(manifest))
         (tmp_path / "run/val.tkds").unlink()
-        csv.unlink()
+        shutil.rmtree(tmp_path / "run/analysis")
+        assert main(argv) == 1
+        assert "manifest records no val_file; run imp" in capsys.readouterr().err
+        assert not (tmp_path / "run/analysis").exists()
+        # the rerun writes the split the configuration gives
+        assert main(["imp", "--config", config]) == 0
+        assert json.loads(manifest_path.read_text())["val_file"] == "val.tkds"
+        rebuilt, val_ds = load_split(tmp_path / "run/val.tkds"), build_dataset(load_run_config(config))[1]
+        assert rebuilt.geometry == val_ds.geometry and rebuilt.n_classes == val_ds.n_classes
+        assert rebuilt.images.tobytes() == val_ds.images.tobytes()
+        assert np.array_equal(rebuilt.labels, val_ds.labels)
         assert main(argv) == 0
         assert csv.read_bytes() == stored
 
@@ -756,6 +786,26 @@ class TestClusterCommand:
                      "--labels", str(src), "--mapping", str(mapping), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "labels < 4" in err and "7" in err
+        assert not out.exists()
+
+    def test_idx_labels_beyond_a_byte_rejected(self, tmp_path, capsys):
+        src, out = tmp_path / "in.idx", tmp_path / "out.idx"
+        write_idx_labels(src, [0, 1])
+        mapping = tmp_path / "map.json"  # label 0 goes to macro class 299
+        mapping.write_text(json.dumps({"n_macro": 300, "table": list(range(299, -1, -1))}))
+        assert main(["cluster", "--format", "idx", "--mode", "semantic",
+                     "--labels", str(src), "--mapping", str(mapping), "--out", str(out)]) == 1
+        assert "IDX labels are single bytes; need n_classes <= 256, got 300" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cifar_labels_beyond_ten_rejected(self, tmp_path, capsys):
+        src, out = tmp_path / "in.bin", tmp_path / "out.bin"
+        src.write_bytes(bytes([10]) + bytes(3072) + bytes([11]) + bytes(3072))
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"n_macro": 12, "table": list(range(12))}))
+        assert main(["cluster", "--format", "cifar", "--mode", "semantic",
+                     "--data", str(src), "--mapping", str(mapping), "--out", str(out)]) == 1
+        assert "CIFAR labels must be < 10; the mapping has 12 macro classes" in capsys.readouterr().err
         assert not out.exists()
 
     def test_idx_without_labels_rejected(self, tmp_path, capsys):

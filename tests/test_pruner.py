@@ -395,6 +395,32 @@ class TestRunImp:
         manifest = json.loads((tmp_path / "run/manifest.json").read_text())
         assert manifest["val_file"] == "val.tkds"
 
+    def test_resume_writes_a_missing_validation_split(self, rng, tmp_path):
+        ds = self.make_data(rng)
+        run_imp(DIMS, ds, ds, tiny_imp_config(max_iterations=1), tmp_path / "run")
+        manifest_path = tmp_path / "run/manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["val_file"], manifest["geometry"]  # as runs made before either was stored
+        manifest_path.write_text(json.dumps(manifest))
+        (tmp_path / "run/val.tkds").unlink()
+        val = self.make_data(rng, n=10)
+        run_imp(DIMS, ds, val, tiny_imp_config(max_iterations=1), tmp_path / "run")  # already finished
+        stored = load_split(tmp_path / "run/val.tkds")
+        assert stored.images.tobytes() == val.images.tobytes()
+        assert np.array_equal(stored.labels, val.labels)
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["val_file"] == "val.tkds"
+        assert manifest["geometry"] == {"width": 4, "height": 4, "channels": 1}
+
+    def test_extending_keeps_created_at(self, rng, tmp_path):
+        ds = self.make_data(rng)
+        run_imp(DIMS, ds, ds, tiny_imp_config(max_iterations=1), tmp_path / "run")
+        created_at = json.loads((tmp_path / "run/manifest.json").read_text())["created_at"]
+        run_imp(DIMS, ds, ds, tiny_imp_config(), tmp_path / "run")
+        manifest = json.loads((tmp_path / "run/manifest.json").read_text())
+        assert len(manifest["iterations"]) == 3
+        assert manifest["created_at"] == created_at
+
     def test_resume_with_changed_config_rejected(self, rng, tmp_path):
         ds = self.make_data(rng)
         run_imp(DIMS, ds, ds, tiny_imp_config(), tmp_path / "run")
