@@ -46,7 +46,7 @@ from .observables import (
     locality_map_binned,
     ablation_curve,
 )
-from .pruner import ImpConfig, imp_settings, run_imp
+from .pruner import ImpConfig, density, imp_settings, run_imp
 from .trainer import TrainConfig
 
 
@@ -54,48 +54,60 @@ from .trainer import TrainConfig
 # run configuration
 
 
-def _check_section(name: str, section: dict, allowed, required) -> None:
+def _read_section(name: str, section, kinds: dict, required, defaults: dict) -> dict:
+    """A config section's given keys checked against a kinds table, in table
+    order, with the defaults filled in. A key may be null exactly when its
+    default is null; one of kind object is checked where it is used. Type
+    messages name a subsection by its last part (synthetic.width)."""
     if not isinstance(section, dict):
         raise ValueError(f"config section {name!r} must be an object")
-    unknown = sorted(set(section) - set(allowed))
+    unknown = sorted(set(section) - set(kinds))
     if unknown:
         raise ValueError(f"unknown config keys in {name!r}: {', '.join(unknown)}")
     missing = sorted(set(required) - set(section))
     if missing:
         raise ValueError(f"missing config keys in {name!r}: {', '.join(missing)}")
+    out = {}
+    for key, kind in kinds.items():
+        if key not in section:
+            if key in defaults:
+                out[key] = defaults[key]
+        elif kind is object or (section[key] is None and key in defaults and defaults[key] is None):
+            out[key] = section[key]
+        else:
+            out[key] = _want(name.rpartition(".")[2], key, section[key], kind)
+    return out
 
 
-def _want(name: str, key: str, value, kinds, allow_none: bool = False):
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string",
+               list: "a non-empty list of integers"}
+
+
+def _is_kind(value, kind) -> bool:
+    """Whether a config value is what _KIND_NAMES calls its kind; a boolean is no number."""
+    if kind is list:
+        return isinstance(value, list) and value != [] and all(_is_kind(v, int) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, kind)
+
+
+def _want(name: str, key: str, value, kind):
     if value is None:
-        if allow_none:
-            return None
         raise ValueError(f"config {name}.{key} must not be null")
-    if kinds is bool:
-        if not isinstance(value, bool):
-            raise ValueError(f"config {name}.{key} must be a boolean")
-        return value
-    if kinds is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"config {name}.{key} must be an integer")
-        return value
-    if kinds is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise ValueError(f"config {name}.{key} must be a finite number")
-        return float(value)
-    if kinds is str:
-        if not isinstance(value, str):
-            raise ValueError(f"config {name}.{key} must be a string")
-        return value
-    if kinds is list:  # of integers
-        if not isinstance(value, list) or not value or any(
-            isinstance(v, bool) or not isinstance(v, int) for v in value
-        ):
-            raise ValueError(f"config {name}.{key} must be a non-empty list of integers")
-        return list(value)
-    raise AssertionError(kinds)
+    if not _is_kind(value, kind):
+        raise ValueError(f"config {name}.{key} must be {_KIND_NAMES[kind]}")
+    return kind(value)
 
 
-_SYNTH_KEYS = ("width", "height", "channels", "n_classes", "n_per_class", "patch", "noise_sd")
+_TOP_KEYS = dict.fromkeys(("dataset", "network", "train", "imp", "output"), object)
+_DATASET_KEYS = {"format": str, "paths": object, "fraction": float, "cluster_mode": object,
+                 "mapping_path": str, "rotate_degrees": float, "translate_augment": bool,
+                 "n_val": int, "seed": int, "synthetic": object}
+_SYNTH_KEYS = {"width": int, "height": int, "channels": int, "n_classes": int, "n_per_class": int,
+               "patch": object, "noise_sd": float}
 _TRAIN_KEYS = {"batch_size": int, "lr": float, "optimizer": str, "adam_beta1": float,
                "adam_beta2": float, "adam_eps": float, "steps": int, "eval_every": int,
                "rewind_step": int, "seed": int}
@@ -109,90 +121,57 @@ def load_run_config(path) -> dict:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise ValueError(f"config {path} is not valid JSON: {e}") from None
-    _check_section("(top level)", raw, ("dataset", "network", "train", "imp", "output"),
-                   ("dataset", "network", "output"))
+    raw = _read_section("(top level)", raw, _TOP_KEYS, ("dataset", "network", "output"),
+                        {"train": {}, "imp": None})
 
-    d = raw["dataset"]
-    _check_section("dataset", d,
-                   ("format", "paths", "fraction", "cluster_mode", "mapping_path",
-                    "rotate_degrees", "translate_augment", "n_val", "seed", "synthetic"),
-                   ("format", "n_val"))
-    fmt = _want("dataset", "format", d["format"], str)
+    dataset = _read_section("dataset", raw["dataset"], _DATASET_KEYS, ("format", "n_val"), {
+        "paths": [], "fraction": 1.0, "cluster_mode": None, "mapping_path": None,
+        "rotate_degrees": None, "translate_augment": False, "seed": 0, "synthetic": None})
+    fmt, paths, cluster_mode = dataset["format"], dataset["paths"], dataset["cluster_mode"]
     if fmt not in ("idx", "cifar", "synthetic"):
         raise ValueError(f"dataset.format must be idx, cifar, or synthetic, got {fmt!r}")
-    paths = d.get("paths", [])
     if not isinstance(paths, list) or any(not isinstance(p, str) for p in paths):
         raise ValueError("config dataset.paths must be a list of strings")
     if fmt == "idx" and len(paths) != 2:
         raise ValueError("idx format needs dataset.paths = [images, labels]")
     if fmt == "cifar" and len(paths) < 1:
         raise ValueError("cifar format needs at least one batch file in dataset.paths")
-    cluster_mode = d.get("cluster_mode")
     if cluster_mode is not None and cluster_mode not in ("random", "semantic"):
         raise ValueError(f"dataset.cluster_mode must be random or semantic, got {cluster_mode!r}")
-    if cluster_mode == "semantic" and not d.get("mapping_path"):
+    if cluster_mode == "semantic" and not dataset["mapping_path"]:
         raise ValueError("semantic clustering needs dataset.mapping_path")
-    synthetic = d.get("synthetic")
     if fmt == "synthetic":
-        if synthetic is None:
+        if dataset["synthetic"] is None:
             raise ValueError("synthetic format needs a dataset.synthetic section")
-        _check_section("dataset.synthetic", synthetic, _SYNTH_KEYS, _SYNTH_KEYS)
+        synthetic = _read_section("dataset.synthetic", dataset["synthetic"], _SYNTH_KEYS, _SYNTH_KEYS, {})
         patch = synthetic["patch"]
         if not isinstance(patch, list) or len(patch) != 4:
             raise ValueError("dataset.synthetic.patch must be [x, y, width, height]")
-        synthetic = {
-            "width": _want("synthetic", "width", synthetic["width"], int),
-            "height": _want("synthetic", "height", synthetic["height"], int),
-            "channels": _want("synthetic", "channels", synthetic["channels"], int),
-            "n_classes": _want("synthetic", "n_classes", synthetic["n_classes"], int),
-            "n_per_class": _want("synthetic", "n_per_class", synthetic["n_per_class"], int),
-            "patch": [_want("synthetic", "patch", p, int) for p in patch],
-            "noise_sd": _want("synthetic", "noise_sd", synthetic["noise_sd"], float),
-        }
-    elif synthetic is not None:
+        synthetic["patch"] = [_want("synthetic", "patch", p, int) for p in patch]
+        dataset["synthetic"] = synthetic
+    elif dataset["synthetic"] is not None:
         raise ValueError("dataset.synthetic is only valid with format = synthetic")
 
-    dataset = {
-        "format": fmt,
-        "paths": paths,
-        "fraction": _want("dataset", "fraction", d.get("fraction", 1.0), float),
-        "cluster_mode": cluster_mode,
-        "mapping_path": _want("dataset", "mapping_path", d.get("mapping_path"), str, allow_none=True),
-        "rotate_degrees": _want("dataset", "rotate_degrees", d.get("rotate_degrees"), float, allow_none=True),
-        "translate_augment": _want("dataset", "translate_augment", d.get("translate_augment", False), bool),
-        "n_val": _want("dataset", "n_val", d["n_val"], int),
-        "seed": _want("dataset", "seed", d.get("seed", 0), int),
-        "synthetic": synthetic,
-    }
+    network = _read_section("network", raw["network"], {"dims": list}, ("dims",), {})
+    network["dims"] = check_dims(network["dims"])
 
-    net = raw["network"]
-    _check_section("network", net, ("dims",), ("dims",))
-    network = {"dims": check_dims(_want("network", "dims", net["dims"], list))}
+    train_cfg = TrainConfig(translate_augment=dataset["translate_augment"],
+                            **_read_section("train", raw["train"], _TRAIN_KEYS, (), {}))
 
-    t = raw.get("train", {})
-    _check_section("train", t, _TRAIN_KEYS, ())
-    t = {key: _want("train", key, value, _TRAIN_KEYS[key]) for key, value in t.items()}
-    train_cfg = TrainConfig(translate_augment=dataset["translate_augment"], **t)
-
-    imp = raw.get("imp")
+    imp = raw["imp"]
     if imp is not None:
-        _check_section("imp", imp, _IMP_KEYS, ("max_iterations",))
-        imp = {key: _want("imp", key, value, _IMP_KEYS[key], allow_none=key == "layers_to_prune")
-               for key, value in imp.items()}
+        imp = _read_section("imp", imp, _IMP_KEYS, ("max_iterations",), {"layers_to_prune": None})
         if not 0 <= imp.get("rewind_step", 0) <= train_cfg.steps:
             raise ValueError(f"config imp.rewind_step = {imp['rewind_step']} must lie in "
                              f"[0, train.steps = {train_cfg.steps}]")
         imp = _section(ImpConfig(train_cfg=train_cfg, **imp), "train_cfg")  # defaults filled
-
-    out = raw["output"]
-    _check_section("output", out, ("run_dir",), ("run_dir",))
 
     return {
         "dataset": dataset,
         "network": network,
         "train": _section(train_cfg, "translate_augment"),  # that lives in the dataset section
         "imp": imp,
-        "output": {"run_dir": _want("output", "run_dir", out["run_dir"], str)},
+        "output": _read_section("output", raw["output"], {"run_dir": str}, ("run_dir",), {}),
     }
 
 
@@ -299,16 +278,13 @@ def cmd_analyze(args) -> int:
     masks = reports.load_masks(run_dir / entry["mask_file"])
     obs = args.observable
     geom = _manifest_geometry(manifest) if obs in ("locality", "locality-binned", "pixmap") else None
-    out_dir = _analysis_dir(run_dir)
     stem = f"iter{args.iteration:03d}"
 
     if obs == "conn":
         hist = connectivity(masks, args.layer, args.direction, args.bin_width)
-        base = out_dir / f"{stem}_conn_l{args.layer}_{args.direction}"
-        lines = ["node,count"] + [f"{j},{int(v)}" for j, v in enumerate(hist.values)]
-        Path(f"{base}.csv").write_text("\n".join(lines) + "\n")
-        lines = ["lower,upper,count"] + [f"{lo},{hi},{c}" for c, lo, hi in hist.bins]
-        Path(f"{base}_hist.csv").write_text("\n".join(lines) + "\n")
+        base = _analysis_dir(run_dir) / f"{stem}_conn_l{args.layer}_{args.direction}"
+        reports._write_csv(f"{base}.csv", "node,count", enumerate(hist.values.tolist()))
+        reports._write_csv(f"{base}_hist.csv", "lower,upper,count", ((lo, hi, c) for c, lo, hi in hist.bins))
         print(f"wrote {base}.csv")
         return 0
 
@@ -319,13 +295,14 @@ def cmd_analyze(args) -> int:
         tag = "same" if args.channel == "same" else "diff"
         if obs == "locality":
             lmap = locality_map(matrix, geom, args.channel)
-            base = out_dir / f"{stem}_locality_l{args.layer}_{tag}"
+            base = _analysis_dir(run_dir) / f"{stem}_locality_l{args.layer}_{tag}"
             reports.export_locality_csv(lmap, f"{base}.csv")
             reports.export_locality_image(lmap, f"{base}.pgm")
             print(f"wrote {base}.csv")
             return 0
         edges = [int(e) for e in args.bin_edges.split(",")]
         maps = locality_map_binned(matrix, geom, args.channel, edges)
+        out_dir = _analysis_dir(run_dir)
         for i, lmap in enumerate(maps):
             lo = edges[i]
             hi = edges[i + 1] if i + 1 < len(edges) else "inf"
@@ -339,17 +316,16 @@ def cmd_analyze(args) -> int:
         if not 2 <= args.layer <= len(masks.masks):
             raise ValueError(f"effmask needs layer in [2, {len(masks.masks)}]")
         mu = effective_masks(masks.masks[: args.layer])
-        path = out_dir / f"{stem}_effmask_l{args.layer}.tkms"
+        path = _analysis_dir(run_dir) / f"{stem}_effmask_l{args.layer}.tkms"
         reports.save_masks(path, MaskSet([mu]))
         print(f"wrote {path}")
         return 0
 
     if obs == "pixmap":
-        values = masks.masks[0].sum(axis=1, dtype=np.int64)
-        base = out_dir / f"{stem}_pixmap"
+        values = connectivity(masks, 0, "out").values
+        base = _analysis_dir(run_dir) / f"{stem}_pixmap"
         rows = zip(*(a.tolist() for a in pixel_coords(np.arange(values.size), geom)), values.tolist())
-        lines = ["x,y,c,count"] + [f"{x},{y},{c},{v}" for x, y, c, v in rows]
-        Path(f"{base}.csv").write_text("\n".join(lines) + "\n")
+        reports._write_csv(f"{base}.csv", "x,y,c,count", rows)
         ext = "ppm" if geom.channels == 3 else "pgm"
         reports.export_count_image(values, geom, f"{base}.{ext}")
         print(f"wrote {base}.csv")
@@ -358,14 +334,11 @@ def cmd_analyze(args) -> int:
     if obs == "binomial":
         if not 1 <= args.layer <= len(masks.masks):
             raise ValueError(f"layer must lie in [1, {len(masks.masks)}]")
-        m = masks.masks[args.layer - 1]
-        u = float(m.sum(dtype=np.int64)) / m.size
-        n_prev = m.shape[0]
+        n_prev = masks.masks[args.layer - 1].shape[0]
         k_max = args.k_max if args.k_max is not None else n_prev
-        pmf = binomial_reference(n_prev, u, k_max)
-        base = out_dir / f"{stem}_binomial_l{args.layer}"
-        lines = ["k,pmf"] + [f"{k},{float(p)!r}" for k, p in enumerate(pmf)]
-        Path(f"{base}.csv").write_text("\n".join(lines) + "\n")
+        pmf = binomial_reference(n_prev, density(masks)[0][args.layer - 1], k_max)
+        base = _analysis_dir(run_dir) / f"{stem}_binomial_l{args.layer}"
+        reports._write_csv(f"{base}.csv", "k,pmf", enumerate(pmf.tolist()))
         print(f"wrote {base}.csv")
         return 0
 
@@ -399,12 +372,10 @@ def cmd_ablate(args) -> int:
     else:
         counts = sorted(set(int(c) for c in np.linspace(0, n_nodes, 11)))
     orders = ("ascending", "descending") if args.order == "both" else (args.order,)
-    lines = ["order,removed,accuracy"]
-    for order in orders:
-        for removed, acc in ablation_curve(params, masks, val_ds, order, counts):
-            lines.append(f"{order},{removed},{acc!r}")
+    rows = [(order, removed, acc) for order in orders
+            for removed, acc in ablation_curve(params, masks, val_ds, order, counts)]
     out = _analysis_dir(run_dir) / f"iter{args.iteration:03d}_ablation.csv"
-    out.write_text("\n".join(lines) + "\n")
+    reports._write_csv(out, "order,removed,accuracy", rows)
     print(f"wrote {out}")
     return 0
 

@@ -216,10 +216,10 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     run configuration. The manifest records the image geometry of train_ds
     and keeps the created_at of the run's first write. Iteration 0, once the
     dense run has trained, also stores val_ds in val.tkds, which the analyses
-    evaluate on, so a dense run that fails leaves no file. Every resume,
-    including one of a finished run, rewrites the manifest in the current
-    shape; it writes val_ds to val.tkds only for a run made before that file
-    existed and otherwise leaves the file as it is.
+    evaluate on, so a dense run that fails leaves no file. Every resume
+    rewrites the manifest in the current shape, keeping the larger of the
+    recorded and the given max_iterations; it writes val_ds to val.tkds only
+    for a run made before that file existed, and otherwise leaves the file.
     """
     dims = check_dims(dims)
     if dims[0] != train_ds.geometry.input_size:
@@ -250,6 +250,10 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
         rewind_params = reports.load_checkpoint(run_dir / manifest["rewind_file"])
         run.rewind_ckpt = Checkpoint(cfg.rewind_step, rewind_params)
         run.stopped_reason = manifest.get("stopped_reason", "")
+        kept = max(cfg.max_iterations, recorded_imp["max_iterations"])  # a lower rerun changes no byte
+        imp_config = imp_config and dict(imp_config, max_iterations=kept)
+        if run_config and run_config["imp"]:
+            run_config = dict(run_config, imp=dict(run_config["imp"], max_iterations=kept))
         if run_config is None:  # keep the recorded configuration
             run_config = manifest.get("run_config")
         created_at = manifest["created_at"]

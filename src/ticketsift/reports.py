@@ -10,7 +10,6 @@ split files store a dataset's float32 images row-major, then its int64 labels.
 
 from __future__ import annotations
 
-import itertools
 import json
 import struct
 from pathlib import Path
@@ -212,11 +211,8 @@ def export_locality_csv(lmap, path) -> None:
     """CSV of every displacement cell, header dx,dy,count, zeros included."""
     grid = lmap.grid if hasattr(lmap, "grid") else np.asarray(lmap)
     gh, gw = grid.shape
-    half_h, half_w = (gh - 1) // 2, (gw - 1) // 2
-    cells = itertools.product(range(-half_h, gh - half_h), range(-half_w, gw - half_w))
-    lines = ["dx,dy,count"]
-    lines += [f"{dx},{dy},{v}" for (dy, dx), v in zip(cells, grid.astype(np.int64).ravel().tolist())]
-    Path(path).write_text("\n".join(lines) + "\n")
+    dy, dx = np.indices(grid.shape).reshape(2, -1) - np.array([[(gh - 1) // 2], [(gw - 1) // 2]])
+    _write_csv(path, "dx,dy,count", zip(dx.tolist(), dy.tolist(), grid.astype(np.int64).ravel().tolist()))
 
 
 def load_locality_csv(path) -> np.ndarray:
@@ -262,19 +258,21 @@ def export_locality_image(lmap, path) -> None:
 
 def export_train_curve_csv(records, path) -> None:
     """CSV step,train_loss,val_accuracy at full float precision."""
-    lines = ["step,train_loss,val_accuracy"]
-    for r in records:
-        lines.append(f"{r.step},{float(r.train_loss)!r},{float(r.val_accuracy)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "step,train_loss,val_accuracy",
+               ((r.step, float(r.train_loss), float(r.val_accuracy)) for r in records))
 
 
 def export_imp_curve_csv(rows, path) -> None:
     """CSV iteration,u,best_val; rows are (iteration, density, best_val|None)."""
-    lines = ["iteration,u,best_val"]
-    for n, u, best in rows:
-        best_txt = "" if best is None else repr(float(best))
-        lines.append(f"{int(n)},{float(u)!r},{best_txt}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "iteration,u,best_val",
+               ((int(n), float(u), "" if best is None else float(best)) for n, u, best in rows))
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """The header line, then one line per row tuple of values written with str
+    (which gives a Python float at full precision)."""
+    line = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
+    Path(path).write_text(header + "\n" + "".join(map(line.__mod__, rows)))
 
 
 def write_manifest(run_dir, data: dict) -> None:

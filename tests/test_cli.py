@@ -43,6 +43,14 @@ def write_config(path, cfg):
     return str(path)
 
 
+def config_section(raw, key):
+    """The section of a run configuration that holds a dotted key, and the key's last part."""
+    *path, last = key.split(".")
+    for name in path:
+        raw = raw[name]
+    return raw, last
+
+
 def as_earlier_manifest(run_dir, raw_imp, imp_cfg):
     """Rewrite a run's manifest into the shape written before the run
     configuration was stored normalized: the IMP settings in imp_config, and
@@ -71,6 +79,11 @@ class TestRunConfig:
         assert cfg["dataset"]["cluster_mode"] is None
         assert cfg["train"]["optimizer"] == "sgd"
         assert cfg["imp"]["max_iterations"] == 2
+        # the manifest stores the sections in this key order
+        assert list(cfg["dataset"]) == ["format", "paths", "fraction", "cluster_mode", "mapping_path",
+                                        "rotate_degrees", "translate_augment", "n_val", "seed", "synthetic"]
+        assert list(cfg["dataset"]["synthetic"]) == ["width", "height", "channels", "n_classes",
+                                                     "n_per_class", "patch", "noise_sd"]
 
     def test_unknown_key_rejected(self, tmp_path):
         raw = base_config(tmp_path / "r")
@@ -142,6 +155,77 @@ class TestRunConfig:
         assert main([command, "--config", write_config(tmp_path / "c.json", raw)]) == 1
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        # a wrong type names the key; paths, cluster_mode and patch keep the messages of their own checks
+        ("dataset.format", 5, "config dataset.format must be a string"),
+        ("dataset.paths", "a", "config dataset.paths must be a list of strings"),
+        ("dataset.paths", None, "config dataset.paths must be a list of strings"),
+        ("dataset.fraction", "1", "config dataset.fraction must be a finite number"),
+        ("dataset.cluster_mode", 5, "dataset.cluster_mode must be random or semantic, got 5"),
+        ("dataset.mapping_path", 5, "config dataset.mapping_path must be a string"),
+        ("dataset.rotate_degrees", "90", "config dataset.rotate_degrees must be a finite number"),
+        ("dataset.translate_augment", 1, "config dataset.translate_augment must be a boolean"),
+        ("dataset.n_val", 16.5, "config dataset.n_val must be an integer"),
+        ("dataset.seed", "0", "config dataset.seed must be an integer"),
+        ("dataset.synthetic.width", 4.5, "config synthetic.width must be an integer"),
+        ("dataset.synthetic.height", "4", "config synthetic.height must be an integer"),
+        ("dataset.synthetic.channels", True, "config synthetic.channels must be an integer"),
+        ("dataset.synthetic.n_classes", [2], "config synthetic.n_classes must be an integer"),
+        ("dataset.synthetic.n_per_class", 24.0, "config synthetic.n_per_class must be an integer"),
+        ("dataset.synthetic.patch", [1, 1, 2, 2.5], "config synthetic.patch must be an integer"),
+        ("dataset.synthetic.patch", [1, 1, 2], "dataset.synthetic.patch must be [x, y, width, height]"),
+        ("dataset.synthetic.patch", None, "dataset.synthetic.patch must be [x, y, width, height]"),
+        ("dataset.synthetic.noise_sd", "0.25", "config synthetic.noise_sd must be a finite number"),
+        ("network.dims", [16, 8.0, 2], "config network.dims must be a non-empty list of integers"),
+        ("network.dims", [], "config network.dims must be a non-empty list of integers"),
+        ("output.run_dir", 5, "config output.run_dir must be a string"),
+        # a section that is not an object
+        ("dataset", None, "config section 'dataset' must be an object"),
+        ("network", None, "config section 'network' must be an object"),
+        ("train", None, "config section 'train' must be an object"),
+        ("output", None, "config section 'output' must be an object"),
+        ("imp", [], "config section 'imp' must be an object"),
+        ("dataset.synthetic", "x", "config section 'dataset.synthetic' must be an object"),
+        ("dataset.synthetic", None, "synthetic format needs a dataset.synthetic section"),
+    ] + [
+        # null is refused wherever the default is not null
+        (key, None, f"config {key.replace('dataset.synthetic', 'synthetic')} must not be null")
+        for key in ["dataset.format", "dataset.fraction", "dataset.translate_augment", "dataset.n_val",
+                    "dataset.seed", "network.dims", "output.run_dir"]
+        + [f"dataset.synthetic.{k}" for k in ("width", "height", "channels", "n_classes", "n_per_class",
+                                              "noise_sd")]
+        + [f"train.{k}" for k in ("batch_size", "lr", "optimizer", "adam_beta1", "adam_beta2", "adam_eps",
+                                  "steps", "eval_every", "rewind_step", "seed")]
+        + [f"imp.{k}" for k in ("prune_fraction", "rewind_step", "stop_node_fraction", "max_iterations")]
+    ])
+    def test_refusal_messages(self, tmp_path, key, value, message):
+        raw = base_config(tmp_path / "r")
+        section, last = config_section(raw, key)
+        section[last] = value
+        with pytest.raises(ValueError) as refused:
+            load_run_config(write_config(tmp_path / "c.json", raw))
+        assert str(refused.value) == message
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        with pytest.raises(ValueError) as refused:
+            load_run_config(write_config(tmp_path / "c.json", [base_config(tmp_path / "r")]))
+        assert str(refused.value) == "config section '(top level)' must be an object"
+
+    @pytest.mark.parametrize("key", ["dataset.cluster_mode", "dataset.mapping_path", "dataset.rotate_degrees",
+                                     "dataset.synthetic", "imp", "imp.layers_to_prune"])
+    def test_null_where_the_default_is_null(self, tmp_path, key):
+        raw = base_config(tmp_path / "r")
+        if key == "dataset.synthetic":
+            raw["dataset"] = {"format": "idx", "paths": ["images.idx", "labels.idx"], "n_val": 16}
+        section, last = config_section(raw, key)
+        section.pop(last, None)
+        omitted = load_run_config(write_config(tmp_path / "omitted.json", raw))
+        section[last] = None
+        cfg = load_run_config(write_config(tmp_path / "null.json", raw))
+        assert cfg == omitted
+        section, last = config_section(cfg, key)
+        assert section[last] is None
 
     def test_imp_rewind_step_beyond_training_rejected(self, tmp_path, capsys):
         raw = base_config(tmp_path / "run")
@@ -375,6 +459,11 @@ class TestImpCommand:
         assert main(["imp", "--config", config]) == 0
         assert "completed 2 iterations (max_iterations)" in capsys.readouterr().out
         assert {p: p.read_bytes() for p in (tmp_path / "run").rglob("*") if p.is_file()} == before
+        # nor does one with a lower max_iterations: the manifest keeps the run's
+        raw["imp"]["max_iterations"] = 0
+        assert main(["imp", "--config", write_config(tmp_path / "lower.json", raw)]) == 0
+        assert "completed 2 iterations (max_iterations)" in capsys.readouterr().out
+        assert {p: p.read_bytes() for p in (tmp_path / "run").rglob("*") if p.is_file()} == before
 
     def test_resume_with_other_dataset_rejected(self, tmp_path, capsys):
         raw = base_config(tmp_path / "run")
@@ -577,6 +666,16 @@ class TestAnalyzeCommand:
         run_dir, _ = imp_run
         with pytest.raises(SystemExit):
             main(["analyze", str(run_dir), "entropy", "--iteration", "0"])
+
+    def test_refused_analysis_makes_no_directory(self, tmp_path, capsys):
+        raw = base_config(tmp_path / "run")
+        raw["imp"]["max_iterations"] = 0
+        assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 0
+        for argv in (["locality", "--layer", "9"], ["locality-binned", "--bin-edges", "5,2"],
+                     ["conn", "--layer", "9"], ["effmask", "--layer", "1"], ["binomial", "--layer", "0"]):
+            assert main(["analyze", str(tmp_path / "run"), *argv, "--iteration", "0"]) == 1
+            assert capsys.readouterr().err.startswith("error:")
+            assert not (tmp_path / "run/analysis").exists()
 
     def test_missing_iteration_rejected(self, imp_run, capsys):
         run_dir, _ = imp_run

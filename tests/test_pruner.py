@@ -430,8 +430,11 @@ class TestRunImp:
     def test_resume_past_max_iterations_returns_existing(self, rng, tmp_path):
         ds = self.make_data(rng)
         run_imp(DIMS, ds, ds, tiny_imp_config(), tmp_path / "run")
+        before = {p: p.read_bytes() for p in (tmp_path / "run").rglob("*") if p.is_file()}
         run = run_imp(DIMS, ds, ds, tiny_imp_config(max_iterations=1), tmp_path / "run")
         assert [it.n for it in run.iterations] == [0, 1, 2]
+        # the manifest keeps the recorded max_iterations: no byte changes
+        assert {p: p.read_bytes() for p in (tmp_path / "run").rglob("*") if p.is_file()} == before
 
     def test_zero_iterations_trains_dense_only(self, rng, tmp_path):
         ds = self.make_data(rng)
