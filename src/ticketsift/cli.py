@@ -25,6 +25,7 @@ from .datasets import (
     _cluster_labels,
     _read_idx,
     _save_idx_labels,
+    _split_rows,
     cluster_classes,
     generate_synthetic,
     load_cifar_binary,
@@ -34,7 +35,6 @@ from .datasets import (
     rotate_images,
     save_cifar_binary,
     save_idx,
-    split_train_val,
     subsample,
 )
 from .network import MaskSet, check_dims
@@ -195,7 +195,7 @@ def _load_images(d: dict):
 
 
 def build_dataset(cfg: dict):
-    """Apply the dataset pipeline: load, cluster, rotate, subsample, split."""
+    """Apply the dataset pipeline: load, cluster, rotate, subsample, split into row ranges of one buffer."""
     d = cfg["dataset"]
     ds = _load_images(d)
     if d["cluster_mode"] == "random":
@@ -206,8 +206,7 @@ def build_dataset(cfg: dict):
         ds = rotate_images(ds, d["rotate_degrees"])
     if d["fraction"] != 1.0:
         ds = subsample(ds, d["fraction"], d["seed"])
-    train_ds, val_ds = split_train_val(ds, d["n_val"], d["seed"])
-    return train_ds, val_ds
+    return _split_rows(ds, d["n_val"], d["seed"])
 
 
 def _run(cfg: dict):

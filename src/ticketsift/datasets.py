@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +22,37 @@ import numpy as np
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
-# generate_synthetic draws its noise in row blocks of about this many bytes,
-# so it holds one block beside its images instead of two full-size arrays.
+# generate_synthetic draws its noise, and the writers quantize, in row blocks of
+# about this many bytes, so each holds one block beside its full-size images.
 BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(n: int, width: int) -> list:
+    """Slices, in order, that cover n float32 rows of width values in blocks of about BLOCK_BYTES."""
+    rows = max(1, BLOCK_BYTES // (4 * width))
+    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
+
+
+def _pixel_blocks(images: np.ndarray):
+    """(rows, pixel bytes floor(v * 255 + 0.5)) of images, one row block at a time."""
+    for rows in _row_blocks(len(images), images.shape[1]):
+        scaled = images[rows] * 255.0
+        yield rows, np.floor(np.add(scaled, 0.5, out=scaled), out=scaled).astype(np.uint8)
+
+
+def _permute_rows(images: np.ndarray, order) -> None:
+    """Set images[j] to the old images[order[j]] for every j, in place: follows the cycles of
+    order with one row held aside, moving rows as bytes (cheaper than numpy indexing)."""
+    w = images.shape[1] * images.itemsize
+    order, buf, row = order.tolist(), memoryview(images).cast("B"), bytearray(w)
+    for start, k in enumerate(order):  # a moved row's entry reads -1
+        if k >= 0:
+            row[:], j = buf[start * w:(start + 1) * w], start
+            while k != start:
+                buf[j * w:(j + 1) * w] = buf[k * w:(k + 1) * w]
+                order[j], j = -1, k
+                k = order[j]
+            buf[j * w:(j + 1) * w], order[j] = row, -1
 
 
 @dataclass(frozen=True)
@@ -188,10 +216,9 @@ def save_idx(ds: ImageDataset, images_path, labels_path) -> None:
         raise ValueError("IDX export supports single-channel images only")
     _save_idx_labels(labels_path, ds.labels, ds.n_classes)
     n, h, w = len(ds), ds.geometry.height, ds.geometry.width
-    pixels = np.floor(ds.images * 255.0 + 0.5).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w))
-        f.write(pixels.tobytes())
+        f.writelines(pixels for _, pixels in _pixel_blocks(ds.images))
 
 
 def load_cifar_binary(paths) -> ImageDataset:
@@ -237,9 +264,9 @@ def save_cifar_binary(ds: ImageDataset, path) -> None:
         raise ValueError("CIFAR export requires 32x32 RGB geometry")
     if ds.n_classes > 10:
         raise ValueError("CIFAR labels must be < 10")
-    pixels = np.floor(ds.images * 255.0 + 0.5).astype(np.uint8)
-    recs = np.concatenate([ds.labels.astype(np.uint8)[:, None], pixels], axis=1)
-    Path(path).write_bytes(recs.tobytes())
+    with open(path, "wb") as f:
+        for rows, pixels in _pixel_blocks(ds.images):
+            f.write(np.concatenate([ds.labels[rows].astype(np.uint8)[:, None], pixels], axis=1))
 
 
 def generate_synthetic(
@@ -259,7 +286,7 @@ def generate_synthetic(
 
     The noise is drawn and added in row blocks of about BLOCK_BYTES; the
     blocks take the generator's draws in row order, so the images equal
-    those of one full-size draw.
+    those of one full-size draw; the closing shuffle moves rows in place.
     """
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
@@ -277,15 +304,16 @@ def generate_synthetic(
     n = n_classes * n_per_class
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
     images = np.full((n, geom.input_size), 0.5, dtype=np.float32)
-    rows = max(1, BLOCK_BYTES // (4 * geom.input_size))
-    for lo in range(0, n, rows):
-        block = images[lo : lo + rows]
-        block[:, patch_idx] = patterns[labels[lo : lo + rows]]
+    for rows in _row_blocks(n, geom.input_size):
+        block = images[rows]
+        block[:, patch_idx] = patterns[labels[rows]]
         if noise_sd > 0:
-            block += noise_sd * rng.standard_normal(block.shape, dtype=np.float32)
+            noise = rng.standard_normal(block.shape, dtype=np.float32)
+            block += np.multiply(noise, noise_sd, out=noise)
         np.clip(block, 0.0, 1.0, out=block)
     perm = rng.permutation(n)
-    return ImageDataset(geom, images[perm], labels[perm], n_classes)
+    _permute_rows(images, perm)
+    return ImageDataset(geom, images, labels[perm], n_classes)
 
 
 def subsample(ds: ImageDataset, fraction: float, seed: int) -> ImageDataset:
@@ -429,11 +457,20 @@ def translate_wrap_each(batch: np.ndarray, geom: ImageGeometry, shifts: np.ndarr
 def split_train_val(ds: ImageDataset, n_val: int, seed: int):
     """Random disjoint split into (train, val) with exactly n_val validation images.
 
-    Both splits keep the original relative image order.
+    Both splits keep the original relative image order. ds is left unchanged:
+    train and val are the two row ranges of one copy of its images.
     """
+    return _split_rows(replace(ds, images=ds.images.copy()), n_val, seed)
+
+
+def _split_rows(ds: ImageDataset, n_val: int, seed: int):
+    """split_train_val by moving the rows of ds, which the caller owns, in place:
+    train and val are the two row ranges of its one image buffer."""
     if not 0 <= n_val < len(ds):
         raise ValueError(f"n_val must lie in [0, {len(ds)}), got {n_val}")
     perm = np.random.default_rng(seed).permutation(len(ds))
-    val_idx = np.sort(perm[:n_val])
-    train_idx = np.sort(perm[n_val:])
-    return ds.take(train_idx), ds.take(val_idx)
+    order = np.concatenate([np.sort(perm[n_val:]), np.sort(perm[:n_val])])
+    _permute_rows(ds.images, order)
+    labels, n_train = ds.labels[order], len(ds) - n_val
+    return tuple(ImageDataset(ds.geometry, ds.images[rows], labels[rows], ds.n_classes, ds.valid_mask)
+                 for rows in (slice(None, n_train), slice(n_train, None)))

@@ -212,14 +212,16 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     the same run configuration apart from output.run_dir; otherwise it
     raises ValueError, as do settings that do not fit train_ds, before run_dir
     is touched. A given run_config must give dims and cfg under imp_settings;
-    without one the manifest stores cfg as imp_config and keeps any recorded
-    run configuration. The manifest records the image geometry of train_ds
-    and keeps the created_at of the run's first write. Iteration 0, once the
-    dense run has trained, also stores val_ds in val.tkds, which the analyses
-    evaluate on, so a dense run that fails leaves no file. Every resume
-    rewrites the manifest in the current shape, keeping the larger of the
-    recorded and the given max_iterations; it writes val_ds to val.tkds only
-    for a run made before that file existed, and otherwise leaves the file.
+    without one the manifest stores cfg as imp_config, except that a resume
+    keeps a recorded run configuration as the one record of the settings
+    (beside imp_config only if the run recorded both). The manifest records
+    the image geometry of train_ds and keeps the created_at of the run's
+    first write. Iteration 0, once the dense run has trained, also stores
+    val_ds in val.tkds, which the analyses evaluate on, so a dense run that
+    fails leaves no file. Every resume rewrites the manifest in the current
+    shape, keeping the larger of the recorded and the given max_iterations;
+    it writes val_ds to val.tkds only for a run made before that file
+    existed, and otherwise leaves the file.
     """
     dims = check_dims(dims)
     if dims[0] != train_ds.geometry.input_size:
@@ -251,11 +253,12 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
         run.rewind_ckpt = Checkpoint(cfg.rewind_step, rewind_params)
         run.stopped_reason = manifest.get("stopped_reason", "")
         kept = max(cfg.max_iterations, recorded_imp["max_iterations"])  # a lower rerun changes no byte
+        if run_config is None and manifest.get("run_config"):  # keep the recorded configuration,
+            run_config = manifest["run_config"]  # and the settings once unless it stored them twice
+            imp_config = manifest.get("imp_config") and imp_config
         imp_config = imp_config and dict(imp_config, max_iterations=kept)
         if run_config and run_config["imp"]:
             run_config = dict(run_config, imp=dict(run_config["imp"], max_iterations=kept))
-        if run_config is None:  # keep the recorded configuration
-            run_config = manifest.get("run_config")
         created_at = manifest["created_at"]
         if not manifest.get("val_file"):  # a run made before the split was stored
             reports.save_split(run_dir / "val.tkds", val_ds)

@@ -199,6 +199,18 @@ def one_shot_synthetic(geom, n_per_class, patch, n_classes, noise_sd, seed):
     return images[perm], labels[perm]
 
 
+def split_by_take(ds, n_val, seed):
+    """(train, val) of split_train_val as two gathers of sorted row indices:
+    val takes the first n_val entries of the seeded permutation, train the rest."""
+    perm = np.random.default_rng(seed).permutation(len(ds))
+    return ds.take(np.sort(perm[n_val:])), ds.take(np.sort(perm[:n_val]))
+
+
+def quantize_whole(images):
+    """Pixel bytes of float32 images in [0, 1], converted as one array."""
+    return np.floor(images * 255.0 + 0.5).astype(np.uint8)
+
+
 def bytes_to_unit_float(raw):
     """Pixel bytes as float32 in [0, 1]: convert the whole array, then divide."""
     return np.asarray(raw, dtype=np.uint8).astype(np.float32) / 255.0

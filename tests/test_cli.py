@@ -8,13 +8,21 @@ import numpy as np
 import pytest
 
 from ticketsift.cli import build_dataset, load_run_config, main
-from ticketsift.datasets import ImageGeometry, load_cifar_binary, load_idx, save_idx
+from ticketsift.datasets import (
+    ImageGeometry,
+    generate_synthetic,
+    load_cifar_binary,
+    load_idx,
+    save_idx,
+    split_train_val,
+    subsample,
+)
 from ticketsift.observables import locality_map
 from ticketsift.pruner import ImpConfig, imp_settings, run_imp
 from ticketsift.reports import load_checkpoint, load_locality_csv, load_masks, load_split, save_split
 from ticketsift.trainer import TrainConfig
 
-from conftest import random_dataset
+from conftest import random_dataset, traced_peak
 
 DIMS = [16, 8, 4, 2]
 
@@ -289,6 +297,39 @@ class TestRunConfig:
         assert capsys.readouterr().err.startswith("error:")
 
 
+def desk_config(run_dir, seed=1):
+    """The desk recipe's dataset: 5000 images of 32x32, about 20 MiB, 1000 for validation."""
+    raw = base_config(run_dir)
+    raw["dataset"].update(n_val=1000, seed=seed)
+    raw["dataset"]["synthetic"] = {"width": 32, "height": 32, "channels": 1, "n_classes": 4,
+                                   "n_per_class": 1250, "patch": [12, 12, 8, 8], "noise_sd": 1.0}
+    raw["network"]["dims"] = [1024, 128, 128, 128, 4]
+    return raw
+
+
+class TestBuildDataset:
+    @pytest.mark.parametrize("fraction", [1.0, 0.7])
+    def test_bytes_match_split_of_generated_images(self, tmp_path, fraction):
+        raw = desk_config(tmp_path / "r", seed=3)
+        raw["dataset"]["synthetic"]["n_per_class"] = 300
+        raw["dataset"].update(n_val=150, fraction=fraction)
+        train_ds, val_ds = build_dataset(load_run_config(write_config(tmp_path / "c.json", raw)))
+        full = generate_synthetic(ImageGeometry(32, 32, 1), 300, (12, 12, 8, 8), 4, 1.0, 3)
+        if fraction != 1.0:
+            full = subsample(full, fraction, 3)
+        for part, want in zip((train_ds, val_ds), split_train_val(full, 150, 3)):
+            assert part.images.tobytes() == want.images.tobytes()
+            assert part.labels.tobytes() == want.labels.tobytes()
+
+    def test_peak_memory_is_one_image_array(self, tmp_path):
+        cfg = load_run_config(write_config(tmp_path / "c.json", desk_config(tmp_path / "r")))
+        (train_ds, val_ds), peak = traced_peak(lambda: build_dataset(cfg))
+        assert len(val_ds) == 1000
+        # train and val are row ranges of the generated images; the shuffled
+        # copy and the split's gathers beside it held 2.04x
+        assert peak <= 1.2 * sum(ds.images.nbytes + ds.labels.nbytes for ds in (train_ds, val_ds))
+
+
 class TestSynthCommand:
     def test_writes_idx_pair(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", base_config(tmp_path / "r"))
@@ -549,8 +590,12 @@ class TestImpCommand:
         run_imp(cfg["network"]["dims"], train_ds, val_ds, imp_cfg, tmp_path / "run")
         manifest = json.loads((tmp_path / "run/manifest.json").read_text())
         assert [it["n"] for it in manifest["iterations"]] == [0, 1, 2]
-        assert manifest["run_config"] == recorded
+        # the settings are stored once: in the kept run_config, raised to the run's iterations
+        assert manifest["imp_config"] is None
+        assert manifest["run_config"] == dict(recorded, imp=dict(recorded["imp"], max_iterations=2))
         assert main(["ablate", str(tmp_path / "run"), "--iteration", "2"]) == 0
+        assert main(["imp", "--config", config]) == 0  # the CLI resumes what the library extended
+        assert json.loads((tmp_path / "run/manifest.json").read_text()) == manifest
 
     def test_non_square_idx_geometry_recorded(self, tmp_path, rng, capsys):
         # 8 x 2 pixels is 16 inputs, which the square rule reads as 4 x 4
