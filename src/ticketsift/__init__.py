@@ -30,6 +30,7 @@ from .observables import (
     ConnectivityHistogram,
     LocalityMap,
     ablation_curve,
+    ablation_curves,
     binomial_reference,
     connectivity,
     effective_masks,

@@ -44,7 +44,7 @@ from .observables import (
     effective_masks,
     locality_map,
     locality_map_binned,
-    ablation_curve,
+    ablation_curves,
 )
 from .pruner import ImpConfig, density, imp_settings, run_imp
 from .trainer import TrainConfig
@@ -129,7 +129,7 @@ def load_run_config(path) -> dict:
         "rotate_degrees": None, "translate_augment": False, "seed": 0, "synthetic": None})
     fmt, paths, cluster_mode = dataset["format"], dataset["paths"], dataset["cluster_mode"]
     if fmt not in ("idx", "cifar", "synthetic"):
-        raise ValueError(f"dataset.format must be idx, cifar, or synthetic, got {fmt!r}")
+        raise ValueError(f"config dataset.format must be idx, cifar, or synthetic, got {fmt!r}")
     if not isinstance(paths, list) or any(not isinstance(p, str) for p in paths):
         raise ValueError("config dataset.paths must be a list of strings")
     if fmt == "idx" and len(paths) != 2:
@@ -137,7 +137,7 @@ def load_run_config(path) -> dict:
     if fmt == "cifar" and len(paths) < 1:
         raise ValueError("cifar format needs at least one batch file in dataset.paths")
     if cluster_mode is not None and cluster_mode not in ("random", "semantic"):
-        raise ValueError(f"dataset.cluster_mode must be random or semantic, got {cluster_mode!r}")
+        raise ValueError(f"config dataset.cluster_mode must be random or semantic, got {cluster_mode!r}")
     if cluster_mode == "semantic" and not dataset["mapping_path"]:
         raise ValueError("semantic clustering needs dataset.mapping_path")
     if fmt == "synthetic":
@@ -371,8 +371,8 @@ def cmd_ablate(args) -> int:
     else:
         counts = sorted(set(int(c) for c in np.linspace(0, n_nodes, 11)))
     orders = ("ascending", "descending") if args.order == "both" else (args.order,)
-    rows = [(order, removed, acc) for order in orders
-            for removed, acc in ablation_curve(params, masks, val_ds, order, counts)]
+    curves = ablation_curves(params, masks, val_ds, orders, counts)
+    rows = [(order, removed, acc) for order in orders for removed, acc in curves[order]]
     out = _analysis_dir(run_dir) / f"iter{args.iteration:03d}_ablation.csv"
     reports._write_csv(out, "order,removed,accuracy", rows)
     print(f"wrote {out}")

@@ -222,39 +222,80 @@ def ablation_curve(params: ParamSet, masks: MaskSet, ds, order: str, step_counts
     order "ascending" removes least-connected nodes first, "descending" most-
     connected first; ties go to the lower node index. No retraining happens;
     each entry of step_counts gives one (removed_count, accuracy) point, and
-    every count is checked before any evaluation.
+    every count is checked before any evaluation. The curve is
+    ``ablation_curves``'s for this one order.
 
-    Each accuracy equals ``accuracy`` after ``ablate_nodes``, bit for bit. An
-    ablated node's incoming column is all zero, so its eval pre-activation is
-    ``±0 + b1[j] == b1[j]`` for every image, and column j of a matrix product
-    of unchanged shape does not depend on the other columns. So the layer-1
-    pre-activation is computed once per chunk, over the 1000-image chunks of
-    ``accuracy``, and each count only overwrites its ablated columns.
+    Each accuracy equals ``accuracy`` after ``ablate_nodes``, bit for bit,
+    although the network is not run once per count. The plan is fixed before
+    any evaluation: a count ablates the set of its removed nodes that are
+    live (some incoming weight survives), and each distinct set is scored
+    once, whatever order and count name it. Over the 1000-image chunks of
+    ``accuracy``, the layer-1 pass (product, bias, batch norm, ReLU) runs
+    once per chunk, and each set then only overwrites its columns of that
+    activation before layers 2 and up run. This is exact because:
+
+    - an ablated node's incoming column is all zero, so its eval
+      pre-activation is ``±0 + b1[j] == b1[j]`` for every image, and column j
+      of a matrix product of unchanged shape does not depend on the other
+      columns;
+    - eval-mode batch norm and ReLU act on each column alone, so the
+      overwritten value, the same layer applied to a one-row copy of ``b1``,
+      comes from the same IEEE operations on the same numbers;
+    - a dead node's column already holds ``b1[j]``, so ablating it changes
+      nothing and it is left out of the set.
     """
-    if order not in ("ascending", "descending"):
-        raise ValueError(f"order must be 'ascending' or 'descending', got {order!r}")
+    return ablation_curves(params, masks, ds, (order,), step_counts)[order]
+
+
+def ablation_curves(params: ParamSet, masks: MaskSet, ds, orders, step_counts) -> dict:
+    """``{order: ablation_curve(params, masks, ds, order, step_counts)}`` for
+    each order, from one pass over ds that scores each distinct set of live
+    ablated nodes once (see ``ablation_curve``). Every order and count is
+    checked before any evaluation."""
+    for order in orders:
+        if order not in ("ascending", "descending"):
+            raise ValueError(f"order must be 'ascending' or 'descending', got {order!r}")
     incoming = masks.masks[0].sum(axis=0, dtype=np.int64)
-    ranked = np.argsort(incoming if order == "ascending" else -incoming, kind="stable")
     n_nodes = incoming.size
     counts = [int(count) for count in step_counts]
     for count in counts:
         if not 0 <= count <= n_nodes:
             raise ValueError(f"cannot remove {count} of {n_nodes} nodes")
     if not counts:
-        return []
+        return {order: [] for order in orders}
+
+    # the plan: every (order, count) names its sorted set of live removed nodes
+    live = incoming > 0
+    node_sets = {}  # the bytes of a set's node array -> the array
+    plan = {order: [] for order in orders}
+    for order in orders:
+        ranked = np.argsort(incoming if order == "ascending" else -incoming, kind="stable")
+        for count in counts:
+            removed = ranked[:count]
+            nodes = np.sort(removed[live[removed]])
+            key = nodes.tobytes()
+            node_sets[key] = nodes
+            plan[order].append(key)
+
     chunks = _eval_chunks(ds)
     _check_net(params, masks, ds.images)
     weights = _masked_weights(params, masks)
-    correct = [0] * len(counts)
+    b1 = params.biases[0]
+    b1_row = np.array(b1[None, :], dtype=np.result_type(ds.images, weights[0], b1))  # z1's dtype
+    ablated = _hidden_layer(params, 0, b1_row, "eval")[-1][0]
+    correct = dict.fromkeys(node_sets, 0)
     for chunk in chunks:
-        z1 = ds.images[chunk] @ weights[0] + params.biases[0]
-        for i, count in enumerate(counts):
-            z = z1.copy()
-            z[:, ranked[:count]] = params.biases[0][ranked[:count]]
-            for l in range(params.n_hidden):
+        z1 = ds.images[chunk] @ weights[0] + b1
+        a1 = _hidden_layer(params, 0, z1, "eval")[-1]
+        for key, nodes in node_sets.items():
+            a = a1.copy()
+            a[:, nodes] = ablated[nodes]
+            z = a @ weights[1] + params.biases[1]
+            for l in range(1, params.n_hidden):
                 z = _hidden_layer(params, l, z, "eval")[-1] @ weights[l + 1] + params.biases[l + 1]
-            correct[i] += int((np.argmax(z, axis=1) == ds.labels[chunk]).sum())
-    return [(count, c / len(ds)) for count, c in zip(counts, correct)]
+            correct[key] += int((np.argmax(z, axis=1) == ds.labels[chunk]).sum())
+    return {order: [(count, correct[key] / len(ds)) for count, key in zip(counts, plan[order])]
+            for order in orders}
 
 
 def binomial_reference(n_prev: int, u: float, k_max: int) -> np.ndarray:

@@ -10,6 +10,7 @@ split files store a dataset's float32 images row-major, then its int64 labels.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from pathlib import Path
@@ -270,9 +271,12 @@ def export_imp_curve_csv(rows, path) -> None:
 
 def _write_csv(path, header: str, rows) -> None:
     """The header line, then one line per row tuple of values written with str
-    (which gives a Python float at full precision)."""
-    line = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
-    Path(path).write_text(header + "\n" + "".join(map(line.__mod__, rows)))
+    (which gives a Python float at full precision). All rows are formatted by
+    one ``%`` over the flattened values, which is faster than one per row."""
+    n_fields = header.count(",") + 1
+    line = ",".join(["%s"] * n_fields) + "\n"
+    flat = tuple(itertools.chain.from_iterable(rows))
+    Path(path).write_text(header + "\n" + (line * (len(flat) // n_fields)) % flat)
 
 
 def write_manifest(run_dir, data: dict) -> None:

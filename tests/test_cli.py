@@ -170,7 +170,7 @@ class TestRunConfig:
         ("dataset.paths", "a", "config dataset.paths must be a list of strings"),
         ("dataset.paths", None, "config dataset.paths must be a list of strings"),
         ("dataset.fraction", "1", "config dataset.fraction must be a finite number"),
-        ("dataset.cluster_mode", 5, "dataset.cluster_mode must be random or semantic, got 5"),
+        ("dataset.cluster_mode", 5, "config dataset.cluster_mode must be random or semantic, got 5"),
         ("dataset.mapping_path", 5, "config dataset.mapping_path must be a string"),
         ("dataset.rotate_degrees", "90", "config dataset.rotate_degrees must be a finite number"),
         ("dataset.translate_augment", 1, "config dataset.translate_augment must be a boolean"),
@@ -196,6 +196,8 @@ class TestRunConfig:
         ("imp", [], "config section 'imp' must be an object"),
         ("dataset.synthetic", "x", "config section 'dataset.synthetic' must be an object"),
         ("dataset.synthetic", None, "synthetic format needs a dataset.synthetic section"),
+        # a value outside the allowed ones
+        ("dataset.format", "png", "config dataset.format must be idx, cifar, or synthetic, got 'png'"),
     ] + [
         # null is refused wherever the default is not null
         (key, None, f"config {key.replace('dataset.synthetic', 'synthetic')} must not be null")

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ticketsift import observables
 from ticketsift.datasets import ImageDataset, ImageGeometry
 from ticketsift.network import MaskSet, ablate_nodes, accuracy, forward, init_params
 from ticketsift.observables import (
     ablation_curve,
+    ablation_curves,
     binomial_reference,
     connectivity,
     effective_masks,
@@ -355,6 +357,62 @@ class TestAblationCurveExact:
         with pytest.raises(ValueError, match="empty dataset"):
             ablation_curve(params, masks, empty, "ascending", [0, 1])
         assert ablation_curve(params, masks, empty, "ascending", []) == []
+
+
+class TestAblationCurves:
+    # unsorted, with duplicates, 0 and all 24 nodes
+    COUNTS = [13, 0, 3, 24, 3, 1, 0, 20, 4]
+    BOTH = ("ascending", "descending")
+
+    def test_each_order_equals_ablated_accuracy_bit_for_bit(self, rng):
+        params, masks, ds = trained_looking_net(rng)
+        incoming = masks.masks[0].sum(axis=0, dtype=np.int64)
+        curves = ablation_curves(params, masks, ds, self.BOTH, self.COUNTS)
+        assert list(curves) == list(self.BOTH)
+        for order, key in zip(self.BOTH, (incoming, -incoming)):
+            ranked = np.argsort(key, kind="stable")
+            expected = [(c, accuracy(params, ablate_nodes(masks, 1, ranked[:c]), ds)) for c in self.COUNTS]
+            assert curves[order] == expected
+            assert curves[order] == ablation_curve(params, masks, ds, order, self.COUNTS)
+        assert curves["ascending"] != curves["descending"]
+
+    def test_full_mask_orders_agree(self, rng):
+        params, _, ds = trained_looking_net(rng)
+        masks = MaskSet.full(params.dims)
+        curves = ablation_curves(params, masks, ds, self.BOTH, self.COUNTS)
+        assert curves["ascending"] == curves["descending"]
+        assert len({acc for _, acc in curves["ascending"]}) > 2
+
+    def test_one_layer_one_pass_per_chunk_and_one_suffix_per_live_node_set(self, rng, monkeypatch):
+        params, masks, ds = trained_looking_net(rng)
+        calls = []
+        hidden_layer = observables._hidden_layer
+
+        def spy(params, l, z, mode):
+            calls.append((l, len(z)))
+            return hidden_layer(params, l, z, mode)
+
+        monkeypatch.setattr(observables, "_hidden_layer", spy)
+        ablation_curves(params, masks, ds, self.BOTH, self.COUNTS)
+        # Ascending removes the three dead nodes first, so counts 0, 1 and 3
+        # share the empty live set; 4, 13, 20 and 24 add four more. Descending
+        # adds 1, 3, 4, 13 and 20; its 0 and 24 are ascending's. 18 points, 10 sets.
+        chunks = [1000, 1000, 500]
+        expected = [(0, 1)] + [(0, n) for n in chunks] + [(1, n) for n in chunks for _ in range(10)]
+        assert sorted(calls) == sorted(expected)
+
+    def test_orders_and_counts_checked_before_any_evaluation(self, rng, monkeypatch):
+        params, masks, ds = trained_looking_net(rng)
+
+        def evaluated(*args):
+            raise AssertionError("evaluated before the arguments were checked")
+
+        monkeypatch.setattr(observables, "_hidden_layer", evaluated)
+        with pytest.raises(ValueError, match="order must be 'ascending' or 'descending', got 'sideways'"):
+            ablation_curves(params, masks, ds, ("ascending", "sideways"), [0])
+        with pytest.raises(ValueError, match="cannot remove 25 of 24 nodes"):
+            ablation_curves(params, masks, ds, self.BOTH, [0, 25])
+        assert ablation_curves(params, masks, ds, self.BOTH, []) == {"ascending": [], "descending": []}
 
 
 class TestBinomialReference:
