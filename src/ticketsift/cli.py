@@ -9,6 +9,7 @@ stderr. Commands are deterministic given the configuration and its seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -57,8 +58,7 @@ from .trainer import TrainConfig
 def _read_section(name: str, section, kinds: dict, required, defaults: dict) -> dict:
     """A config section's given keys checked against a kinds table, in table
     order, with the defaults filled in. A key may be null exactly when its
-    default is null; one of kind object is checked where it is used. Type
-    messages name a subsection by its last part (synthetic.width)."""
+    default is null; one of kind object is checked where it is used."""
     if not isinstance(section, dict):
         raise ValueError(f"config section {name!r} must be an object")
     unknown = sorted(set(section) - set(kinds))
@@ -75,7 +75,7 @@ def _read_section(name: str, section, kinds: dict, required, defaults: dict) -> 
         elif kind is object or (section[key] is None and key in defaults and defaults[key] is None):
             out[key] = section[key]
         else:
-            out[key] = _want(name.rpartition(".")[2], key, section[key], kind)
+            out[key] = _want(name, key, section[key], kind)
     return out
 
 
@@ -147,7 +147,7 @@ def load_run_config(path) -> dict:
         patch = synthetic["patch"]
         if not isinstance(patch, list) or len(patch) != 4:
             raise ValueError("dataset.synthetic.patch must be [x, y, width, height]")
-        synthetic["patch"] = [_want("synthetic", "patch", p, int) for p in patch]
+        synthetic["patch"] = [_want("dataset.synthetic", "patch", p, int) for p in patch]
         dataset["synthetic"] = synthetic
     elif dataset["synthetic"] is not None:
         raise ValueError("dataset.synthetic is only valid with format = synthetic")
@@ -456,7 +456,9 @@ def cmd_cluster(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ticketsift",
         description="Train, iteratively prune, and structurally analyze fully "
@@ -466,11 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="dense run (imp iteration 0) into a new directory")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("imp", help="iterative magnitude pruning run (resumable)")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_imp)
 
     p = sub.add_parser("analyze", help="export observables of a stored iteration")
     p.add_argument("run_dir")
@@ -483,14 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-width", type=int, default=1)
     p.add_argument("--bin-edges", default="0", help="comma-separated ascending lower bounds")
     p.add_argument("--k-max", type=int, default=None)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("ablate", help="accuracy under connectivity-ordered node removal")
     p.add_argument("run_dir")
     p.add_argument("--iteration", type=int, required=True)
     p.add_argument("--order", choices=["ascending", "descending", "both"], default="both")
     p.add_argument("--counts", default="", help="comma-separated removal counts")
-    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("export-masks", help="netpbm images of the most connected nodes")
     p.add_argument("run_dir")
@@ -498,14 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", type=int, default=1)
     p.add_argument("--top", type=int, required=True)
     p.add_argument("--weighted", action="store_true")
-    p.set_defaults(func=cmd_export_masks)
 
     p = sub.add_parser("synth", help="write the configured synthetic dataset to disk")
     p.add_argument("--config", required=True)
     p.add_argument("--out-images")
     p.add_argument("--out-labels")
     p.add_argument("--out-cifar")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("cluster", help="rewrite dataset labels into macro classes")
     p.add_argument("--format", choices=["idx", "cifar"], required=True)
@@ -514,15 +510,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="input CIFAR binary batch")
     p.add_argument("--mapping", help="class mapping JSON for semantic mode")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cluster)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up when the command runs, so a cmd_* global patched after the
+    # parser was built is the handler that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except Exception as e:  # one-line diagnostic, nonzero exit
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -28,34 +29,57 @@ PIXEL_LAYOUT = "index = c*H*W + y*W + x"
 
 
 class _Reader:
-    """Strict byte cursor: raises on truncation and on trailing garbage.
+    """Strict reader of one binary file, used as a context manager: raises on
+    truncation and on trailing garbage, judged against the file's size when
+    it was opened.
 
-    take returns memoryview slices of the file's bytes, so a payload is
-    copied only when its reader copies it into an array.
+    array reads a payload with readinto straight into a new array, so each
+    payload is copied once, from the file, and a header that implies more
+    bytes than the file holds is refused before anything is allocated.
     """
 
-    def __init__(self, data: bytes, path):
-        self.data = memoryview(data)
-        self.pos = 0
+    def __init__(self, path):
         self.path = path
+        self.f = open(path, "rb")
+        self.size = os.fstat(self.f.fileno()).st_size
+        self.pos = 0
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
+    def __enter__(self) -> "_Reader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.f.close()
+
+    def _advance(self, n: int) -> None:
+        if self.pos + n > self.size:
             raise ValueError(f"truncated file {self.path}")
-        out = self.data[self.pos : self.pos + n]
         self.pos += n
-        return out
+
+    def take(self, n: int) -> bytes:
+        self._advance(n)
+        data = self.f.read(n)
+        if len(data) != n:
+            raise ValueError(f"truncated file {self.path}")
+        return data
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def array(self, count: int, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        self._advance(count * dtype.itemsize)
+        out = np.empty(count, dtype=dtype)
+        if self.f.readinto(out) != out.nbytes:
+            raise ValueError(f"truncated file {self.path}")
+        return out
+
     def finish(self) -> None:
-        if self.pos != len(self.data):
+        if self.pos != self.size:
             raise ValueError(f"trailing bytes in {self.path}")
 
 
 def _check_header(r: _Reader, magic: bytes) -> None:
-    got = bytes(r.take(4))
+    got = r.take(4)
     if got != magic:
         raise ValueError(f"bad magic {got!r} in {r.path}, expected {magic!r}")
     (version,) = r.unpack("<I")
@@ -75,14 +99,14 @@ def save_checkpoint(path, params: ParamSet) -> None:
 
 
 def load_checkpoint(path) -> ParamSet:
-    r = _Reader(Path(path).read_bytes(), path)
-    _check_header(r, CHECKPOINT_MAGIC)
-    (n_layers,) = r.unpack("<I")
-    if n_layers < 2:
-        raise ValueError(f"checkpoint {path} must hold at least 2 weight layers")
-    dims = list(r.unpack(f"<{n_layers + 1}I"))
-    flat = np.frombuffer(r.take(4 * _size(dims)), dtype=np.float32).copy()
-    r.finish()
+    with _Reader(path) as r:
+        _check_header(r, CHECKPOINT_MAGIC)
+        (n_layers,) = r.unpack("<I")
+        if n_layers < 2:
+            raise ValueError(f"checkpoint {path} must hold at least 2 weight layers")
+        dims = list(r.unpack(f"<{n_layers + 1}I"))
+        flat = r.array(_size(dims), np.float32)
+        r.finish()
     return ParamSet.__new__(ParamSet)._bind(dims, flat)
 
 
@@ -102,24 +126,23 @@ def save_masks(path, masks: MaskSet) -> None:
 
 
 def load_masks(path) -> MaskSet:
-    r = _Reader(Path(path).read_bytes(), path)
-    _check_header(r, MASK_MAGIC)
-    (n_masks,) = r.unpack("<I")
-    if n_masks < 1:
-        raise ValueError(f"mask file {path} holds no layers")
-    dims = list(r.unpack(f"<{n_masks + 1}I"))
-    masks = []
-    for i in range(n_masks):
-        size = dims[i] * dims[i + 1]
-        (stored_count,) = r.unpack("<Q")
-        packed = np.frombuffer(r.take((size + 7) // 8), dtype=np.uint8)
-        flat = np.unpackbits(packed, count=size, bitorder="little")
-        if int(flat.sum(dtype=np.int64)) != stored_count:
-            raise ValueError(
-                f"mask file {path} layer {i + 1}: popcount does not match stored count"
-            )
-        masks.append(flat.reshape(dims[i], dims[i + 1]))
-    r.finish()
+    with _Reader(path) as r:
+        _check_header(r, MASK_MAGIC)
+        (n_masks,) = r.unpack("<I")
+        if n_masks < 1:
+            raise ValueError(f"mask file {path} holds no layers")
+        dims = list(r.unpack(f"<{n_masks + 1}I"))
+        masks = []
+        for i in range(n_masks):
+            size = dims[i] * dims[i + 1]
+            (stored_count,) = r.unpack("<Q")
+            flat = np.unpackbits(r.array((size + 7) // 8, np.uint8), count=size, bitorder="little")
+            if int(flat.sum(dtype=np.int64)) != stored_count:
+                raise ValueError(
+                    f"mask file {path} layer {i + 1}: popcount does not match stored count"
+                )
+            masks.append(flat.reshape(dims[i], dims[i + 1]))
+        r.finish()
     return MaskSet(masks)
 
 
@@ -139,15 +162,15 @@ def save_split(path, ds: ImageDataset) -> None:
 
 def load_split(path) -> ImageDataset:
     """Read a save_split file; ImageDataset validates pixel and label ranges.
-    Each payload is copied once, from the file's bytes into its array."""
-    r = _Reader(Path(path).read_bytes(), path)
-    _check_header(r, SPLIT_MAGIC)
-    width, height, channels, n, n_classes = r.unpack("<5I")
-    geom = ImageGeometry(width, height, channels)
-    images = np.frombuffer(r.take(4 * n * geom.input_size), dtype="<f4")
-    labels = np.frombuffer(r.take(8 * n), dtype="<i8")
-    r.finish()
-    return ImageDataset(geom, images.reshape(n, geom.input_size).copy(), labels.copy(), n_classes)
+    Each payload is read from the file straight into its array."""
+    with _Reader(path) as r:
+        _check_header(r, SPLIT_MAGIC)
+        width, height, channels, n, n_classes = r.unpack("<5I")
+        geom = ImageGeometry(width, height, channels)
+        images = r.array(n * geom.input_size, "<f4").reshape(n, geom.input_size)
+        labels = r.array(n, "<i8")
+        r.finish()
+    return ImageDataset(geom, images, labels, n_classes)
 
 
 def _image_planes(row: np.ndarray, geom) -> np.ndarray:

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ticketsift.cli import build_dataset, load_run_config, main
+from ticketsift import cli
+from ticketsift.cli import build_dataset, build_parser, load_run_config, main
 from ticketsift.datasets import (
     ImageGeometry,
     generate_synthetic,
@@ -176,15 +177,15 @@ class TestRunConfig:
         ("dataset.translate_augment", 1, "config dataset.translate_augment must be a boolean"),
         ("dataset.n_val", 16.5, "config dataset.n_val must be an integer"),
         ("dataset.seed", "0", "config dataset.seed must be an integer"),
-        ("dataset.synthetic.width", 4.5, "config synthetic.width must be an integer"),
-        ("dataset.synthetic.height", "4", "config synthetic.height must be an integer"),
-        ("dataset.synthetic.channels", True, "config synthetic.channels must be an integer"),
-        ("dataset.synthetic.n_classes", [2], "config synthetic.n_classes must be an integer"),
-        ("dataset.synthetic.n_per_class", 24.0, "config synthetic.n_per_class must be an integer"),
-        ("dataset.synthetic.patch", [1, 1, 2, 2.5], "config synthetic.patch must be an integer"),
+        ("dataset.synthetic.width", 4.5, "config dataset.synthetic.width must be an integer"),
+        ("dataset.synthetic.height", "4", "config dataset.synthetic.height must be an integer"),
+        ("dataset.synthetic.channels", True, "config dataset.synthetic.channels must be an integer"),
+        ("dataset.synthetic.n_classes", [2], "config dataset.synthetic.n_classes must be an integer"),
+        ("dataset.synthetic.n_per_class", 24.0, "config dataset.synthetic.n_per_class must be an integer"),
+        ("dataset.synthetic.patch", [1, 1, 2, 2.5], "config dataset.synthetic.patch must be an integer"),
         ("dataset.synthetic.patch", [1, 1, 2], "dataset.synthetic.patch must be [x, y, width, height]"),
         ("dataset.synthetic.patch", None, "dataset.synthetic.patch must be [x, y, width, height]"),
-        ("dataset.synthetic.noise_sd", "0.25", "config synthetic.noise_sd must be a finite number"),
+        ("dataset.synthetic.noise_sd", "0.25", "config dataset.synthetic.noise_sd must be a finite number"),
         ("network.dims", [16, 8.0, 2], "config network.dims must be a non-empty list of integers"),
         ("network.dims", [], "config network.dims must be a non-empty list of integers"),
         ("output.run_dir", 5, "config output.run_dir must be a string"),
@@ -200,7 +201,7 @@ class TestRunConfig:
         ("dataset.format", "png", "config dataset.format must be idx, cifar, or synthetic, got 'png'"),
     ] + [
         # null is refused wherever the default is not null
-        (key, None, f"config {key.replace('dataset.synthetic', 'synthetic')} must not be null")
+        (key, None, f"config {key} must not be null")
         for key in ["dataset.format", "dataset.fraction", "dataset.translate_augment", "dataset.n_val",
                     "dataset.seed", "network.dims", "output.run_dir"]
         + [f"dataset.synthetic.{k}" for k in ("width", "height", "channels", "n_classes", "n_per_class",
@@ -728,6 +729,42 @@ class TestAnalyzeCommand:
         run_dir, _ = imp_run
         assert main(["analyze", str(run_dir), "conn", "--iteration", "9"]) == 1
         assert "no iteration 9" in capsys.readouterr().err
+
+
+class TestOneParserPerProcess:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_refused_command_line_then_a_valid_one(self, imp_run):
+        run_dir, _ = imp_run
+        with pytest.raises(SystemExit) as refused:
+            main(["analyze", str(run_dir), "entropy", "--iteration", "0"])
+        assert refused.value.code == 2
+        assert main(["analyze", str(run_dir), "conn", "--iteration", "1", "--direction", "out"]) == 0
+        rows = (run_dir / "analysis/iter001_conn_l1_out.csv").read_text().strip().splitlines()
+        masks = load_masks(run_dir / "iters/001/masks.tkms")
+        assert [int(r.split(",")[1]) for r in rows[1:]] == masks.masks[1].sum(axis=1).tolist()
+        assert (run_dir / "analysis/iter001_conn_l1_out_hist.csv").is_file()
+
+    def test_no_argument_carries_over_to_the_next_call(self, imp_run):
+        run_dir, _ = imp_run
+        out = run_dir / "analysis/iter000_ablation.csv"
+        assert main(["ablate", str(run_dir), "--iteration", "0", "--counts", "3"]) == 0
+        assert len(out.read_text().strip().splitlines()) == 3
+        assert main(["ablate", str(run_dir), "--iteration", "0"]) == 0
+        rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+        defaults = range(9)  # int(np.linspace(0, 8, 11)) without repeats, for 8 hidden nodes
+        assert [(o, int(n)) for o, n, _ in rows] == [(o, n) for o in ("ascending", "descending")
+                                                     for n in defaults]
+
+    def test_handler_is_looked_up_when_the_command_runs(self, imp_run, monkeypatch):
+        run_dir, _ = imp_run
+        argv = ["analyze", str(run_dir), "binomial", "--iteration", "0"]
+        assert main(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.observable) or 7)
+        assert main(argv) == 7
+        assert seen == ["binomial"]
 
 
 class TestAblateCommand:
