@@ -14,13 +14,11 @@ from .datasets import (
     rotate_images,
     split_train_val,
     subsample,
-    translate_wrap,
 )
 from .network import (
     MaskSet,
     ParamGrads,
     ParamSet,
-    ablate_nodes,
     accuracy,
     forward,
     init_params,
@@ -36,7 +34,6 @@ from .observables import (
     effective_masks,
     locality_map,
     locality_map_binned,
-    top_activations,
 )
 from .pruner import (
     ImpConfig,

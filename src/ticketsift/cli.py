@@ -20,14 +20,11 @@ import numpy as np
 
 from . import reports
 from .datasets import (
-    CIFAR_RECORD_BYTES,
-    IDX_LABEL_MAGIC,
     ImageGeometry,
-    _cluster_labels,
-    _read_idx,
-    _save_idx_labels,
     _split_rows,
+    cluster_cifar_batch,
     cluster_classes,
+    cluster_idx_labels,
     generate_synthetic,
     load_cifar_binary,
     load_class_mapping,
@@ -295,8 +292,8 @@ def cmd_analyze(args) -> int:
         if obs == "locality":
             lmap = locality_map(matrix, geom, args.channel)
             base = _analysis_dir(run_dir) / f"{stem}_locality_l{args.layer}_{tag}"
-            reports.export_locality_csv(lmap, f"{base}.csv")
-            reports.export_locality_image(lmap, f"{base}.pgm")
+            reports.export_locality_csv(lmap.grid, f"{base}.csv")
+            reports.export_locality_image(lmap.grid, f"{base}.pgm")
             print(f"wrote {base}.csv")
             return 0
         edges = [int(e) for e in args.bin_edges.split(",")]
@@ -306,8 +303,8 @@ def cmd_analyze(args) -> int:
             lo = edges[i]
             hi = edges[i + 1] if i + 1 < len(edges) else "inf"
             base = out_dir / f"{stem}_locality_l{args.layer}_{tag}_bin{i}_{lo}-{hi}"
-            reports.export_locality_csv(lmap, f"{base}.csv")
-            reports.export_locality_image(lmap, f"{base}.pgm")
+            reports.export_locality_csv(lmap.grid, f"{base}.csv")
+            reports.export_locality_image(lmap.grid, f"{base}.pgm")
         print(f"wrote {len(maps)} binned maps to {out_dir}")
         return 0
 
@@ -434,20 +431,11 @@ def cmd_cluster(args) -> int:
     if args.format == "idx":
         if not args.labels:
             raise ValueError("idx clustering needs --labels")
-        labels = _read_idx(args.labels, IDX_LABEL_MAGIC, 1).astype(np.int64)
-        _save_idx_labels(args.out, *_cluster_labels(labels, args.mode, mapping))
+        cluster_idx_labels(args.labels, args.out, args.mode, mapping)
     else:
         if not args.data:
             raise ValueError("cifar clustering needs --data")
-        data = Path(args.data).read_bytes()
-        if len(data) == 0 or len(data) % CIFAR_RECORD_BYTES != 0:
-            raise ValueError(f"{args.data} is not a CIFAR binary batch")
-        recs = np.frombuffer(data, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES).copy()
-        mapped, n_macro = _cluster_labels(recs[:, 0].astype(np.int64), args.mode, mapping)
-        if n_macro > 10:
-            raise ValueError(f"CIFAR labels must be < 10; the mapping has {n_macro} macro classes")
-        recs[:, 0] = mapped
-        Path(args.out).write_bytes(recs.tobytes())
+        cluster_cifar_batch(args.data, args.out, args.mode, mapping)
     print(f"wrote {args.out}")
     return 0
 

@@ -109,17 +109,12 @@ def patch_input_indices(geom: ImageGeometry, patch) -> np.ndarray:
 
 @dataclass
 class ImageDataset:
-    """Labeled images as flat rows plus an optional per-pixel validity plane.
-
-    valid_mask marks pixels that carry real content (False where a transform
-    such as rotation filled the pixel in); it is shared by all channels.
-    """
+    """Labeled images as flat rows."""
 
     geometry: ImageGeometry
     images: np.ndarray  # (N, input_size) float32 in [0, 1]
     labels: np.ndarray  # (N,) int64, each < n_classes
     n_classes: int
-    valid_mask: np.ndarray | None = None  # (H, W) bool
 
     def __post_init__(self) -> None:
         self.images = np.ascontiguousarray(self.images, dtype=np.float32)
@@ -139,23 +134,12 @@ class ImageDataset:
             lo, hi = float(self.images.min()), float(self.images.max())
             if not (lo >= 0.0 and hi <= 1.0):
                 raise ValueError(f"pixel values must lie in [0, 1], got [{lo}, {hi}]")
-        if self.valid_mask is not None:
-            self.valid_mask = np.ascontiguousarray(self.valid_mask, dtype=bool)
-            expect = (self.geometry.height, self.geometry.width)
-            if self.valid_mask.shape != expect:
-                raise ValueError(f"valid_mask must be {expect}, got {self.valid_mask.shape}")
 
     def __len__(self) -> int:
         return self.images.shape[0]
 
     def take(self, indices: np.ndarray) -> "ImageDataset":
-        return ImageDataset(
-            self.geometry,
-            self.images[indices],
-            self.labels[indices],
-            self.n_classes,
-            self.valid_mask,
-        )
+        return ImageDataset(self.geometry, self.images[indices], self.labels[indices], self.n_classes)
 
 
 def _read_idx(path, magic: int, ndim: int) -> np.ndarray:
@@ -234,28 +218,39 @@ def load_cifar_binary(paths) -> ImageDataset:
         paths = [paths]
     if not paths:
         raise ValueError("no CIFAR batch files given")
-    sizes = [Path(path).stat().st_size for path in paths]
-    for path, size in zip(paths, sizes):
-        if size == 0 or size % CIFAR_RECORD_BYTES != 0:
-            raise ValueError(
-                f"CIFAR file {path} has {size} bytes, "
-                f"not a positive multiple of {CIFAR_RECORD_BYTES}"
-            )
-    n = sum(sizes) // CIFAR_RECORD_BYTES
+    counts = [_cifar_record_count(path) for path in paths]
+    n = sum(counts)
     geom = ImageGeometry(width=32, height=32, channels=3)
     images = np.empty((n, geom.input_size), dtype=np.float32)
     labels = np.empty(n, dtype=np.int64)
     row = 0
-    for path, size in zip(paths, sizes):
-        data = Path(path).read_bytes()
-        if len(data) != size:
-            raise ValueError(f"CIFAR file {path} changed size while being read")
-        recs = np.frombuffer(data, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        end = row + recs.shape[0]
+    for path, count in zip(paths, counts):
+        recs = _read_cifar_records(path, count)
+        end = row + count
         labels[row:end] = recs[:, 0]
         _scale_bytes(recs[:, 1:], images[row:end])
         row = end
     return ImageDataset(geom, images, labels, n_classes=10)
+
+
+def _cifar_record_count(path) -> int:
+    """Records in a CIFAR batch file, from its size; refuses a size that is not
+    a positive multiple of CIFAR_RECORD_BYTES."""
+    size = Path(path).stat().st_size
+    if size == 0 or size % CIFAR_RECORD_BYTES != 0:
+        raise ValueError(
+            f"CIFAR file {path} has {size} bytes, not a positive multiple of {CIFAR_RECORD_BYTES}"
+        )
+    return size // CIFAR_RECORD_BYTES
+
+
+def _read_cifar_records(path, count: int) -> np.ndarray:
+    """The count records of a CIFAR batch file (see _cifar_record_count) as a
+    read-only (count, CIFAR_RECORD_BYTES) uint8 array: label byte, then pixels."""
+    data = Path(path).read_bytes()
+    if len(data) != count * CIFAR_RECORD_BYTES:
+        raise ValueError(f"CIFAR file {path} changed size while being read")
+    return np.frombuffer(data, dtype=np.uint8).reshape(count, CIFAR_RECORD_BYTES)
 
 
 def save_cifar_binary(ds: ImageDataset, path) -> None:
@@ -380,16 +375,33 @@ def _cluster_labels(labels: np.ndarray, mode: str, mapping: ClassMapping | None)
 def cluster_classes(ds: ImageDataset, mode: str, mapping: ClassMapping | None = None) -> ImageDataset:
     """Coarsen labels: mode "random" takes label mod 10, "semantic" uses a table."""
     new_labels, n_macro = _cluster_labels(ds.labels, mode, mapping)
-    return ImageDataset(ds.geometry, ds.images, new_labels, n_macro, ds.valid_mask)
+    return ImageDataset(ds.geometry, ds.images, new_labels, n_macro)
+
+
+def cluster_idx_labels(src, out, mode: str, mapping: ClassMapping | None = None) -> None:
+    """Write the labels of IDX label file src, coarsened as by cluster_classes, to out.
+    Every refusal comes before out is opened."""
+    labels = _read_idx(src, IDX_LABEL_MAGIC, 1).astype(np.int64)
+    _save_idx_labels(out, *_cluster_labels(labels, mode, mapping))
+
+
+def cluster_cifar_batch(src, out, mode: str, mapping: ClassMapping | None = None) -> None:
+    """Write CIFAR batch src to out with its labels coarsened as by cluster_classes
+    and its pixel bytes unchanged. Every refusal comes before out is opened."""
+    recs = _read_cifar_records(src, _cifar_record_count(src)).copy()
+    labels, n_macro = _cluster_labels(recs[:, 0].astype(np.int64), mode, mapping)
+    if n_macro > 10:
+        raise ValueError(f"CIFAR labels must be < 10; the mapping has {n_macro} macro classes")
+    recs[:, 0] = labels
+    Path(out).write_bytes(recs)
 
 
 def rotate_images(ds: ImageDataset, degrees: float) -> ImageDataset:
     """Rotate every image by ``degrees`` about the pixel center ((W-1)/2, (H-1)/2).
 
     Nearest-neighbor sampling; destination pixels whose source falls outside
-    the image are zero-filled and marked False in the returned valid_mask.
-    Requires square images. degrees=90 sends destination (x, y) to source
-    (y, W-1-x).
+    the image are zero-filled. Requires square images. degrees=90 sends
+    destination (x, y) to source (y, W-1-x).
     """
     geom = ds.geometry
     if geom.width != geom.height:
@@ -409,26 +421,13 @@ def rotate_images(ds: ImageDataset, degrees: float) -> ImageDataset:
     planes = ds.images.reshape(len(ds), geom.channels, w, w)
     rotated = planes[:, :, syc, sxc]
     rotated[:, :, ~inside] = 0.0
-    old_valid = ds.valid_mask if ds.valid_mask is not None else np.ones((w, w), dtype=bool)
-    valid = inside & old_valid[syc, sxc]
-    return ImageDataset(geom, rotated.reshape(len(ds), -1), ds.labels, ds.n_classes, valid)
-
-
-def translate_wrap(batch: np.ndarray, geom: ImageGeometry, shift) -> np.ndarray:
-    """Cyclically shift a block of flat images by (dx, dy), same for all channels.
-
-    shift (1, 0) moves content one column to the right, so pixel column W-1
-    wraps around to column 0.
-    """
-    dx, dy = shift
-    arr = np.asarray(batch)
-    flat = arr.reshape(-1, geom.channels, geom.height, geom.width)
-    rolled = np.roll(flat, shift=(dy, dx), axis=(2, 3))
-    return rolled.reshape(arr.shape)
+    return ImageDataset(geom, rotated.reshape(len(ds), -1), ds.labels, ds.n_classes)
 
 
 def translate_wrap_each(batch: np.ndarray, geom: ImageGeometry, shifts: np.ndarray) -> np.ndarray:
-    """translate_wrap with an individual (dx, dy) per image in the batch.
+    """Cyclically shift each flat image of a batch by its own (dx, dy), the same
+    for all channels. A shift (1, 0) moves content one column to the right, so
+    pixel column W-1 wraps around to column 0.
 
     Source rows (y - dy) % H and columns (x - dx) % W are computed per image
     as (N, H) and (N, W) tables; one broadcast sum turns them into flat
@@ -472,5 +471,5 @@ def _split_rows(ds: ImageDataset, n_val: int, seed: int):
     order = np.concatenate([np.sort(perm[n_val:]), np.sort(perm[:n_val])])
     _permute_rows(ds.images, order)
     labels, n_train = ds.labels[order], len(ds) - n_val
-    return tuple(ImageDataset(ds.geometry, ds.images[rows], labels[rows], ds.n_classes, ds.valid_mask)
+    return tuple(ImageDataset(ds.geometry, ds.images[rows], labels[rows], ds.n_classes)
                  for rows in (slice(None, n_train), slice(n_train, None)))

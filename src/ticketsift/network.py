@@ -1,5 +1,5 @@
 """Masked fully connected classifier: parameters, forward pass with batch
-normalization, softmax cross-entropy gradients, accuracy, and node ablation.
+normalization, softmax cross-entropy gradients, and accuracy.
 
 Layer numbering used across the package: layer 0 is the input plane, layers
 1..k are hidden layers, and the output layer carries no mask, batch norm, or
@@ -55,18 +55,10 @@ class ParamSet:
     order: write into the arrays (``w[...] = x``), never replace an entry.
     """
 
-    def __init__(self, weights, biases, gamma, beta, running_mean, running_var):
-        groups = (weights, biases, gamma, beta, running_mean, running_var)
-        dims = [weights[0].shape[0]] + [w.shape[1] for w in weights]
-        self._bind(dims, np.zeros(_size(dims), np.result_type(*(a for g in groups for a in g))))
-        for name, arrays in zip(_GROUPS, groups):
-            if [np.shape(a) for a in arrays] != [v.shape for v in getattr(self, name)]:
-                raise ValueError(f"{name} shapes do not match dims {dims}")
-            for view, a in zip(getattr(self, name), arrays):
-                view[...] = a
-
-    def _bind(self, dims, flat: np.ndarray):
-        """Make every list field a list of views into flat; returns self."""
+    def __init__(self, dims, flat: np.ndarray):
+        """Bind every list field to views into flat, a 1-D buffer of length _size(dims)."""
+        if flat.shape != (_size(dims),):
+            raise ValueError(f"dims {dims} need a buffer of shape ({_size(dims)},), got {flat.shape}")
         self._flat, pos = flat, 0
         for group in _GROUPS:
             setattr(self, group, [])
@@ -75,11 +67,10 @@ class ParamSet:
                 shape = (a, b) if group == "weights" else (b,)
                 getattr(self, group).append(flat[pos : pos + math.prod(shape)].reshape(shape))
                 pos += math.prod(shape)
-        return self
 
     @classmethod
     def _zeros(cls, dims, dtype):
-        return cls.__new__(cls)._bind(dims, np.zeros(_size(dims), dtype))
+        return cls(dims, np.zeros(_size(dims), dtype))
 
     @property
     def dims(self) -> list:
@@ -90,16 +81,12 @@ class ParamSet:
         return len(self.weights) - 1
 
     def copy(self):
-        return type(self).__new__(type(self))._bind(self.dims, self._flat.copy())
+        return type(self)(self.dims, self._flat.copy())
 
 
 class ParamGrads(ParamSet):
     """Gradients of the trainable fields of a ParamSet, in the ParamSet buffer
     layout; the running-statistic slots hold zeros."""
-
-    def __init__(self, weights, biases, gamma, beta):
-        zeros = [np.zeros_like(g) for g in gamma]
-        super().__init__(weights, biases, gamma, beta, zeros, zeros)
 
 
 @dataclass
@@ -140,13 +127,12 @@ def init_params(dims, seed, dtype=np.float32) -> ParamSet:
 
 @dataclass
 class ForwardCache:
-    """Intermediates needed by the backward pass and activation probes.
+    """Intermediates needed by the backward pass.
 
     activations[l] is the input to weight matrix l (activations[0] is the
     batch itself); x_hat and inv_std have one entry per hidden layer.
     """
 
-    mode: str
     activations: list
     x_hat: list
     inv_std: list
@@ -211,7 +197,7 @@ def forward(params: ParamSet, masks: MaskSet, batch: np.ndarray, mode: str = "tr
 def _forward(params: ParamSet, weights: list, batch: np.ndarray, mode: str):
     """``forward``'s arithmetic on effective weights: W * M, or stored weights zeroed where masked."""
     a = batch
-    cache = ForwardCache(mode, [a], [], [])
+    cache = ForwardCache([a], [], [])
     for l in range(params.n_hidden):
         z = a @ weights[l]
         z += params.biases[l]
@@ -301,17 +287,3 @@ def _eval_chunks(ds, batch_size: int = 1000) -> list:
     if len(ds) == 0:
         raise ValueError("cannot evaluate accuracy on an empty dataset")
     return [slice(s, min(s + batch_size, len(ds))) for s in range(0, len(ds), batch_size)]
-
-
-def ablate_nodes(masks: MaskSet, layer: int, nodes) -> MaskSet:
-    """Zero the incoming mask columns of the given nodes of hidden layer ``layer``
-    (1-based). Returns a new MaskSet; already-pruned nodes may be listed."""
-    if not 1 <= layer <= len(masks.masks):
-        raise ValueError(f"layer must lie in [1, {len(masks.masks)}], got {layer}")
-    nodes = np.asarray(nodes, dtype=np.int64)
-    width = masks.masks[layer - 1].shape[1]
-    if nodes.size and (nodes.min() < 0 or nodes.max() >= width):
-        raise ValueError(f"node indices must lie in [0, {width})")
-    out = masks.copy()
-    out.masks[layer - 1][:, nodes] = 0
-    return out

@@ -1,6 +1,6 @@
 """Structural observables of pruned networks: connectivity counts, spatial
 locality of surviving inputs, effective input masks of deep nodes, ablation
-curves, the binomial baseline for random pruning, and activation probes.
+curves, and the binomial baseline for random pruning.
 
 Displacement grids are indexed grid[dy + H - 1, dx + W - 1] and count ordered
 pairs of distinct surviving inputs feeding the same node, so every grid is
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import ImageGeometry, pixel_coords
-from .network import MaskSet, ParamSet, _check_net, _eval_chunks, _hidden_layer, _masked_weights, forward
+from .network import MaskSet, ParamSet, _check_net, _eval_chunks, _hidden_layer, _masked_weights
 
 
 @dataclass
@@ -225,14 +225,15 @@ def ablation_curve(params: ParamSet, masks: MaskSet, ds, order: str, step_counts
     every count is checked before any evaluation. The curve is
     ``ablation_curves``'s for this one order.
 
-    Each accuracy equals ``accuracy`` after ``ablate_nodes``, bit for bit,
-    although the network is not run once per count. The plan is fixed before
-    any evaluation: a count ablates the set of its removed nodes that are
-    live (some incoming weight survives), and each distinct set is scored
-    once, whatever order and count name it. Over the 1000-image chunks of
-    ``accuracy``, the layer-1 pass (product, bias, batch norm, ReLU) runs
-    once per chunk, and each set then only overwrites its columns of that
-    activation before layers 2 and up run. This is exact because:
+    Each accuracy equals, bit for bit, ``accuracy`` on a copy of the masks
+    whose removed nodes' incoming columns are zeroed, although the network is
+    not run once per count. The plan is fixed before any evaluation: a count
+    ablates the set of its removed nodes that are live (some incoming weight
+    survives), and each distinct set is scored once, whatever order and
+    count name it. Over the 1000-image chunks of ``accuracy``, the layer-1
+    pass (product, bias, batch norm, ReLU) runs once per chunk, and each set
+    then only overwrites its columns of that activation before layers 2 and
+    up run. This is exact because:
 
     - an ablated node's incoming column is all zero, so its eval
       pre-activation is ``±0 + b1[j] == b1[j]`` for every image, and column j
@@ -328,26 +329,3 @@ def binomial_reference(n_prev: int, u: float, k_max: int) -> np.ndarray:
         )
         pmf[k] = math.exp(log_pk)
     return pmf
-
-
-def top_activations(params: ParamSet, masks: MaskSet, ds, layer: int, node: int, k: int) -> np.ndarray:
-    """Indices of the k dataset images that excite one hidden node the most.
-
-    Eval-mode post-ReLU activation, sorted descending; ties broken by the
-    lower dataset index.
-    """
-    if not 1 <= layer <= params.n_hidden:
-        raise ValueError(f"layer must lie in [1, {params.n_hidden}], got {layer}")
-    width = params.dims[layer]
-    if not 0 <= node < width:
-        raise ValueError(f"node must lie in [0, {width}), got {node}")
-    n = len(ds)
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, {n}], got {k}")
-    acts = np.empty(n, dtype=np.float64)
-    chunk = 1000
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        _, cache = forward(params, masks, ds.images[sl], mode="eval")
-        acts[sl] = cache.activations[layer][:, node]
-    return np.argsort(-acts, kind="stable")[:k]

@@ -107,7 +107,7 @@ def load_checkpoint(path) -> ParamSet:
         dims = list(r.unpack(f"<{n_layers + 1}I"))
         flat = r.array(_size(dims), np.float32)
         r.finish()
-    return ParamSet.__new__(ParamSet)._bind(dims, flat)
+    return ParamSet(dims, flat)
 
 
 def save_masks(path, masks: MaskSet) -> None:
@@ -149,7 +149,7 @@ def load_masks(path) -> MaskSet:
 def save_split(path, ds: ImageDataset) -> None:
     """Write a dataset split: a header (width, height, channels, n, n_classes),
     the float32 images row-major, then the int64 labels, each written from its
-    array without a bytes copy. valid_mask is not stored."""
+    array without a bytes copy."""
     g = ds.geometry
     header = SPLIT_MAGIC + struct.pack(
         "<6I", FORMAT_VERSION, g.width, g.height, g.channels, len(ds), ds.n_classes
@@ -231,9 +231,9 @@ def export_weighted_mask_image(values, geom, path, mask_row=None) -> None:
     _write_netpbm(path, byte_planes)
 
 
-def export_locality_csv(lmap, path) -> None:
-    """CSV of every displacement cell, header dx,dy,count, zeros included."""
-    grid = lmap.grid if hasattr(lmap, "grid") else np.asarray(lmap)
+def export_locality_csv(grid: np.ndarray, path) -> None:
+    """CSV of every cell of a displacement grid (see LocalityMap.grid), header
+    dx,dy,count, zeros included."""
     gh, gw = grid.shape
     dy, dx = np.indices(grid.shape).reshape(2, -1) - np.array([[(gh - 1) // 2], [(gw - 1) // 2]])
     _write_csv(path, "dx,dy,count", zip(dx.tolist(), dy.tolist(), grid.astype(np.int64).ravel().tolist()))
@@ -274,9 +274,8 @@ def export_count_image(values, geom, path) -> None:
     _write_scaled_counts(path, _image_planes(values, geom))
 
 
-def export_locality_image(lmap, path) -> None:
-    """P5 grayscale of the displacement grid, scaled 0 -> 0, max -> 255."""
-    grid = lmap.grid if hasattr(lmap, "grid") else np.asarray(lmap)
+def export_locality_image(grid: np.ndarray, path) -> None:
+    """P5 grayscale of a displacement grid, scaled 0 -> 0, max -> 255."""
     _write_scaled_counts(path, grid[None, :, :])
 
 

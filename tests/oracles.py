@@ -218,11 +218,21 @@ def bytes_to_unit_float(raw):
 
 def to_float64(params):
     """Double-precision copy of a ParamSet (for finite-difference work)."""
-    return ParamSet(
-        [w.astype(np.float64) for w in params.weights],
-        [b.astype(np.float64) for b in params.biases],
-        [g.astype(np.float64) for g in params.gamma],
-        [b.astype(np.float64) for b in params.beta],
-        [m.astype(np.float64) for m in params.running_mean],
-        [v.astype(np.float64) for v in params.running_var],
-    )
+    return ParamSet(params.dims, params._flat.astype(np.float64))
+
+
+def translate_wrap(batch, geom, shift):
+    """Cyclic shift of every flat image of batch by the one (dx, dy), the same
+    for all channels, by np.roll: (1, 0) sends pixel column W-1 to column 0."""
+    dx, dy = shift
+    arr = np.asarray(batch)
+    planes = arr.reshape(-1, geom.channels, geom.height, geom.width)
+    return np.roll(planes, shift=(dy, dx), axis=(2, 3)).reshape(arr.shape)
+
+
+def ablate_nodes(masks, layer, nodes):
+    """Copy of masks with the incoming mask columns of the given nodes of hidden
+    layer ``layer`` (1-based) zeroed; already-pruned nodes may be listed."""
+    out = masks.copy()
+    out.masks[layer - 1][:, np.asarray(nodes, dtype=np.int64)] = 0
+    return out

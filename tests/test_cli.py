@@ -991,6 +991,16 @@ class TestClusterCommand:
         assert "CIFAR labels must be < 10; the mapping has 12 macro classes" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("size", [0, 3074])
+    def test_cifar_size_not_a_record_multiple_rejected(self, tmp_path, capsys, size):
+        src, out = tmp_path / "in.bin", tmp_path / "out.bin"
+        src.write_bytes(bytes(size))
+        assert main(["cluster", "--format", "cifar", "--mode", "random",
+                     "--data", str(src), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"CIFAR file {src} has {size} bytes, not a positive multiple of 3073" in err
+        assert not out.exists()
+
     def test_idx_without_labels_rejected(self, tmp_path, capsys):
         assert main(["cluster", "--format", "idx", "--mode", "random",
                      "--out", str(tmp_path / "o.idx")]) == 1

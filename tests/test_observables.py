@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from ticketsift import observables
 from ticketsift.datasets import ImageDataset, ImageGeometry
-from ticketsift.network import MaskSet, ablate_nodes, accuracy, forward, init_params
+from ticketsift.network import MaskSet, accuracy, forward, init_params
 from ticketsift.observables import (
     ablation_curve,
     ablation_curves,
@@ -13,7 +13,6 @@ from ticketsift.observables import (
     effective_masks,
     locality_map,
     locality_map_binned,
-    top_activations,
 )
 
 import oracles
@@ -345,7 +344,7 @@ class TestAblationCurveExact:
         ranked = np.argsort(incoming if order == "ascending" else -incoming, kind="stable")
         counts = [0, 1, n_nodes, 13, 4, 20, 3]
         curve = ablation_curve(params, masks, ds, order, counts)
-        expected = [(c, accuracy(params, ablate_nodes(masks, 1, ranked[:c]), ds)) for c in counts]
+        expected = [(c, accuracy(params, oracles.ablate_nodes(masks, 1, ranked[:c]), ds)) for c in counts]
         assert curve == expected
         assert len({acc for _, acc in curve}) > 2  # the curve is not flat
 
@@ -371,7 +370,8 @@ class TestAblationCurves:
         assert list(curves) == list(self.BOTH)
         for order, key in zip(self.BOTH, (incoming, -incoming)):
             ranked = np.argsort(key, kind="stable")
-            expected = [(c, accuracy(params, ablate_nodes(masks, 1, ranked[:c]), ds)) for c in self.COUNTS]
+            expected = [(c, accuracy(params, oracles.ablate_nodes(masks, 1, ranked[:c]), ds))
+                        for c in self.COUNTS]
             assert curves[order] == expected
             assert curves[order] == ablation_curve(params, masks, ds, order, self.COUNTS)
         assert curves["ascending"] != curves["descending"]
@@ -453,37 +453,3 @@ class TestBinomialReference:
             binomial_reference(4, 1.5, 3)
         with pytest.raises(ValueError):
             binomial_reference(4, 0.5, -1)
-
-
-class TestTopActivations:
-    def make_probe(self):
-        params, masks, _ = probe_setup()
-        geom = ImageGeometry(2, 1, 1)
-        images = np.array([[1.0, 0.0], [0.5, 0.0], [0.0, 1.0], [1.0, 0.0]], dtype=np.float32)
-        ds = ImageDataset(geom, images, np.zeros(4, dtype=np.int64), 2)
-        return params, masks, ds
-
-    def test_orders_by_activation(self):
-        params, masks, ds = self.make_probe()
-        # node 1 sees only pixel 0: activations [1, 0.5, 0, 1]
-        top = top_activations(params, masks, ds, layer=1, node=1, k=3)
-        assert top.tolist() == [0, 3, 1]
-
-    def test_ties_break_to_lower_index(self):
-        params, masks, ds = self.make_probe()
-        top = top_activations(params, masks, ds, layer=1, node=1, k=2)
-        assert top.tolist() == [0, 3]
-
-    def test_k_equals_dataset_size(self):
-        params, masks, ds = self.make_probe()
-        top = top_activations(params, masks, ds, layer=1, node=0, k=4)
-        assert sorted(top.tolist()) == [0, 1, 2, 3]
-
-    def test_invalid_arguments(self):
-        params, masks, ds = self.make_probe()
-        with pytest.raises(ValueError):
-            top_activations(params, masks, ds, layer=0, node=0, k=1)
-        with pytest.raises(ValueError):
-            top_activations(params, masks, ds, layer=1, node=5, k=1)
-        with pytest.raises(ValueError):
-            top_activations(params, masks, ds, layer=1, node=0, k=9)

@@ -21,12 +21,11 @@ GEOM = ImageGeometry(4, 4, 1)
 
 
 def ones_grads(params):
-    return ParamGrads(
-        [np.ones_like(w) for w in params.weights],
-        [np.ones_like(b) for b in params.biases],
-        [np.ones_like(g) for g in params.gamma],
-        [np.ones_like(b) for b in params.beta],
-    )
+    g = ParamGrads(params.dims, np.zeros_like(params._flat))
+    for group in (g.weights, g.biases, g.gamma, g.beta):
+        for arr in group:
+            arr[...] = 1
+    return g
 
 
 def scaled_grads(params, value):
