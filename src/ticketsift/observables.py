@@ -55,7 +55,7 @@ def connectivity(masks: MaskSet, layer: int, direction: str, bin_width: int = 1)
     top = int(values.max()) if values.size else 0
     edges = np.arange(0, top + bin_width + 1, bin_width)
     counts, _ = np.histogram(values, bins=edges)
-    bins = [(int(c), int(lo), int(hi)) for c, lo, hi in zip(counts, edges[:-1], edges[1:])]
+    bins = list(zip(counts.tolist(), edges[:-1].tolist(), edges[1:].tolist()))
     return ConnectivityHistogram(values, bins, layer, direction)
 
 

@@ -137,7 +137,7 @@ def load_masks(path) -> MaskSet:
             size = dims[i] * dims[i + 1]
             (stored_count,) = r.unpack("<Q")
             flat = np.unpackbits(r.array((size + 7) // 8, np.uint8), count=size, bitorder="little")
-            if int(flat.sum(dtype=np.int64)) != stored_count:
+            if np.count_nonzero(flat) != stored_count:
                 raise ValueError(
                     f"mask file {path} layer {i + 1}: popcount does not match stored count"
                 )
@@ -199,7 +199,7 @@ def export_mask_image(row, geom, path) -> None:
     channel gives P5.
     """
     planes = _image_planes(row, geom)
-    if planes.size and not np.isin(planes, (0, 1)).all():
+    if not ((planes == 0) | (planes == 1)).all():
         raise ValueError("mask row entries must be 0 or 1")
     _write_netpbm(path, (planes * 255).astype(np.uint8))
 
@@ -321,7 +321,7 @@ def load_manifest(run_dir) -> dict:
         for key in ("mask_file", "params_file", "curve_file"):
             if it.get(key):
                 referenced.append(it[key])
-    for rel in referenced:
-        if not (run_dir / rel).is_file():
+    for rel in referenced:  # os.path: a Path per file costs more than its stat
+        if not os.path.isfile(os.path.join(run_dir, rel)):
             raise ValueError(f"manifest references missing file {rel}")
     return data
