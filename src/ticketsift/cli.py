@@ -268,6 +268,14 @@ def _analysis_dir(run_dir: Path) -> Path:
     return out
 
 
+def _int_list(flag: str, text: str) -> list:
+    """The integers of a comma-separated command-line value."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
+
+
 def cmd_analyze(args) -> int:
     run_dir = Path(args.run_dir)
     manifest, entry = _load_iteration(run_dir, args.iteration)
@@ -296,7 +304,7 @@ def cmd_analyze(args) -> int:
             reports.export_locality_image(lmap.grid, f"{base}.pgm")
             print(f"wrote {base}.csv")
             return 0
-        edges = [int(e) for e in args.bin_edges.split(",")]
+        edges = _int_list("--bin-edges", args.bin_edges)
         maps = locality_map_binned(matrix, geom, args.channel, edges)
         out_dir = _analysis_dir(run_dir)
         for i, lmap in enumerate(maps):
@@ -364,7 +372,7 @@ def cmd_ablate(args) -> int:
         raise ValueError("run has no validation split to evaluate on")
     n_nodes = masks.masks[0].shape[1]
     if args.counts:
-        counts = [int(c) for c in args.counts.split(",")]
+        counts = _int_list("--counts", args.counts)
     else:
         counts = sorted(set(int(c) for c in np.linspace(0, n_nodes, 11)))
     orders = ("ascending", "descending") if args.order == "both" else (args.order,)

@@ -23,6 +23,8 @@ Eval mode keeps ``(z - running_mean) * inv_std * gamma + beta`` in that order.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,10 +162,12 @@ def _masked_weights(params: ParamSet, masks: MaskSet) -> list:
     return [w * m for w, m in zip(params.weights, masks.masks)] + params.weights[-1:]
 
 
-def _hidden_layer(params: ParamSet, l: int, z: np.ndarray, mode: str):
+def _hidden_layer(params: ParamSet, l: int, z: np.ndarray, mode: str, out=None):
     """Batch norm -> ReLU of hidden layer l + 1 from its pre-activation z;
     returns (x_hat, inv_std, activation). Overwrites z, which becomes x_hat;
-    train mode centres z in place before squaring it for the variance.
+    train mode centres z in place before squaring it for the variance. The
+    activation is written into ``out`` when given, an array of z's shape and
+    of the dtype of ``z * gamma``, and is a new array otherwise.
     """
     if mode == "train":
         ones = np.ones(len(z), z.dtype)
@@ -177,7 +181,7 @@ def _hidden_layer(params: ParamSet, l: int, z: np.ndarray, mode: str):
         z -= params.running_mean[l]
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     z *= inv_std
-    a = z * params.gamma[l]
+    a = np.multiply(z, params.gamma[l], out=out)
     a += params.beta[l]
     return z, inv_std, np.maximum(a, 0, out=a)
 
@@ -287,3 +291,43 @@ def _eval_chunks(ds, batch_size: int = 1000) -> list:
     if len(ds) == 0:
         raise ValueError("cannot evaluate accuracy on an empty dataset")
     return [slice(s, min(s + batch_size, len(ds))) for s in range(0, len(ds), batch_size)]
+
+
+def _lanes(n_tasks: int) -> int:
+    """How many lanes ``_run_lanes`` should split n_tasks independent tasks
+    over: 2 when there are at least 2 tasks and the process may run on at
+    least 2 cores, else 1."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cores = os.cpu_count() or 1
+    return 2 if cores >= 2 and n_tasks >= 2 else 1
+
+
+def _run_lanes(lane_task, n_lanes: int) -> None:
+    """Call ``lane_task(lane)`` for every lane in range(n_lanes), n_lanes 1 or 2.
+
+    Lane 0 runs on the calling thread. Lane 1 runs on one worker thread,
+    started here and joined before this returns, also when a lane raises, so
+    no lane still runs once the caller sees the result. An exception raised
+    in a lane is re-raised unchanged, lane 0's first.
+    """
+    if n_lanes == 1:
+        lane_task(0)
+        return
+    raised = []
+
+    def worker():
+        try:
+            lane_task(1)
+        except BaseException as e:  # handed to the calling thread below
+            raised.append(e)
+
+    thread = threading.Thread(target=worker, name="ticketsift-lane-1")
+    thread.start()
+    try:
+        lane_task(0)
+    finally:
+        thread.join()
+    if raised:
+        raise raised[0]

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import ImageGeometry, pixel_coords
-from .network import MaskSet, ParamSet, _check_net, _eval_chunks, _hidden_layer, _masked_weights
+from .network import (
+    MaskSet, ParamSet, _check_net, _eval_chunks, _hidden_layer, _lanes, _masked_weights, _run_lanes,
+)
 
 
 @dataclass
@@ -244,6 +246,16 @@ def ablation_curve(params: ParamSet, masks: MaskSet, ds, order: str, step_counts
       comes from the same IEEE operations on the same numbers;
     - a dead node's column already holds ``b1[j]``, so ablating it changes
       nothing and it is left out of the set.
+
+    The distinct sets of each chunk are split between two lanes when the
+    process may run on two or more cores: the calling thread scores the
+    even-indexed sets and one worker thread, joined before the next chunk,
+    the odd ones. Each lane writes only into buffers the calling thread
+    allocated for it (its activations, pre-activations and logits), and a
+    set's count depends only on the shared read-only arrays and its own
+    lane's buffers, so it is the same integer on either lane and the curves
+    do not depend on the lane count. On one core, or with one set, the same
+    code runs in one lane.
     """
     return ablation_curves(params, masks, ds, (order,), step_counts)[order]
 
@@ -267,35 +279,61 @@ def ablation_curves(params: ParamSet, masks: MaskSet, ds, orders, step_counts) -
 
     # the plan: every (order, count) names its sorted set of live removed nodes
     live = incoming > 0
-    node_sets = {}  # the bytes of a set's node array -> the array
-    plan = {order: [] for order in orders}
+    sets, index = [], {}  # distinct node arrays; their bytes -> position in sets
+    plan = {order: [] for order in orders}  # order -> the position of each count's set
     for order in orders:
         ranked = np.argsort(incoming if order == "ascending" else -incoming, kind="stable")
         for count in counts:
             removed = ranked[:count]
             nodes = np.sort(removed[live[removed]])
             key = nodes.tobytes()
-            node_sets[key] = nodes
-            plan[order].append(key)
+            if key not in index:
+                index[key] = len(sets)
+                sets.append(nodes)
+            plan[order].append(index[key])
 
     chunks = _eval_chunks(ds)
     _check_net(params, masks, ds.images)
     weights = _masked_weights(params, masks)
     b1 = params.biases[0]
-    b1_row = np.array(b1[None, :], dtype=np.result_type(ds.images, weights[0], b1))  # z1's dtype
-    ablated = _hidden_layer(params, 0, b1_row, "eval")[-1][0]
-    correct = dict.fromkeys(node_sets, 0)
+    # z1's dtype; the parameters share one dtype, so every later layer has it too
+    dtype = np.result_type(ds.images, weights[0], b1)
+    ablated = _hidden_layer(params, 0, np.array(b1[None, :], dtype=dtype), "eval")[-1][0]
+    n_lanes = _lanes(len(sets))
+    # each lane's own buffers, at chunk size: an activation buffer, which
+    # starts as the ablated copy of the layer-1 activation, a pre-activation
+    # buffer, and the logits; each layer reads one and writes the other
+    rows, dims = len(ds.labels[chunks[0]]), params.dims
+    size = rows * max(dims[1:-1])
+    buffers = [(np.empty(size, dtype), np.empty(size, dtype), np.empty((rows, dims[-1]), dtype))
+               for _ in range(n_lanes)]
+    correct = [0] * len(sets)
+
+    def score(lane, a1, labels):
+        """Count the correct predictions of this chunk under every n_lanes-th set."""
+        act_buf, z_buf, logits = buffers[lane]
+        n, logits = len(a1), logits[: len(a1)]
+
+        def view(buf, width):
+            return buf[: n * width].reshape(n, width)
+
+        for s in range(lane, len(sets), n_lanes):
+            act = view(act_buf, dims[1])
+            np.copyto(act, a1)
+            act[:, sets[s]] = ablated[sets[s]]
+            for l in range(1, params.n_hidden):
+                z = np.matmul(act, weights[l], out=view(z_buf, dims[l + 1]))
+                z += params.biases[l]
+                act = _hidden_layer(params, l, z, "eval", out=view(act_buf, dims[l + 1]))[-1]
+            np.matmul(act, weights[-1], out=logits)
+            logits += params.biases[-1]
+            correct[s] += int(np.count_nonzero(np.argmax(logits, axis=1) == labels))
+
     for chunk in chunks:
         z1 = ds.images[chunk] @ weights[0] + b1
         a1 = _hidden_layer(params, 0, z1, "eval")[-1]
-        for key, nodes in node_sets.items():
-            a = a1.copy()
-            a[:, nodes] = ablated[nodes]
-            z = a @ weights[1] + params.biases[1]
-            for l in range(1, params.n_hidden):
-                z = _hidden_layer(params, l, z, "eval")[-1] @ weights[l + 1] + params.biases[l + 1]
-            correct[key] += int((np.argmax(z, axis=1) == ds.labels[chunk]).sum())
-    return {order: [(count, correct[key] / len(ds)) for count, key in zip(counts, plan[order])]
+        _run_lanes(lambda lane: score(lane, a1, ds.labels[chunk]), n_lanes)
+    return {order: [(count, correct[s] / len(ds)) for count, s in zip(counts, plan[order])]
             for order in orders}
 
 

@@ -792,6 +792,17 @@ class TestAblateCommand:
         assert main(["ablate", str(run_dir), "--iteration", "0", "--counts", "99"]) == 1
         assert "99" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["ablate", "RUN"], "--counts", "0,,5"),
+        (["ablate", "RUN"], "--counts", "2.5"),
+        (["analyze", "RUN", "locality-binned"], "--bin-edges", "0,x"),
+    ])
+    def test_malformed_integer_list_names_the_flag(self, imp_run, capsys, argv, flag, value):
+        run_dir, _ = imp_run
+        argv = [str(run_dir) if a == "RUN" else a for a in argv]
+        assert main([*argv, "--iteration", "0", flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be comma-separated integers, got {value!r}\n"
+
 
     def test_stored_split_is_the_configured_one(self, imp_run, tmp_path):
         run_dir, config = imp_run

@@ -1,3 +1,7 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -313,13 +317,13 @@ class TestAblationCurve:
             ablation_curve(params, masks, ds, "ascending", [4])
 
 
-def trained_looking_net(rng):
-    """A [48, 24, 12, 3] net with nonzero biases and batch-norm state, three
-    dead layer-1 nodes, and 2,500 images (eval chunks of 1000 + 1000 + 500)
-    whose labels mostly follow the full network, so ablation moves the
-    accuracy."""
+def trained_looking_net(rng, dims=(48, 24, 12, 3)):
+    """A net of the given dims (default [48, 24, 12, 3]) with nonzero biases
+    and batch-norm state, three dead layer-1 nodes, and 2,500 images (eval
+    chunks of 1000 + 1000 + 500) whose labels mostly follow the full network,
+    so ablation moves the accuracy."""
     geom = ImageGeometry(8, 6, 1)
-    dims = [48, 24, 12, 3]
+    dims = list(dims)
     params = init_params(dims, seed=7)
     for group in (params.biases, params.beta, params.running_mean):
         for v in group:
@@ -388,9 +392,9 @@ class TestAblationCurves:
         calls = []
         hidden_layer = observables._hidden_layer
 
-        def spy(params, l, z, mode):
+        def spy(params, l, z, mode, out=None):
             calls.append((l, len(z)))
-            return hidden_layer(params, l, z, mode)
+            return hidden_layer(params, l, z, mode, out=out)
 
         monkeypatch.setattr(observables, "_hidden_layer", spy)
         ablation_curves(params, masks, ds, self.BOTH, self.COUNTS)
@@ -400,6 +404,66 @@ class TestAblationCurves:
         chunks = [1000, 1000, 500]
         expected = [(0, 1)] + [(0, n) for n in chunks] + [(1, n) for n in chunks for _ in range(10)]
         assert sorted(calls) == sorted(expected)
+
+    @staticmethod
+    def cores(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    @pytest.mark.parametrize("dims", [(48, 24, 12, 3), (48, 24, 28, 12, 3)])
+    def test_one_lane_and_two_lanes_give_the_same_curves(self, rng, monkeypatch, dims):
+        # chunks of 1000, 1000 and 500 rows: the last one uses sliced buffers;
+        # the deeper net's layers have different widths
+        params, masks, ds = trained_looking_net(rng, dims)
+        threads = []
+        hidden_layer = observables._hidden_layer
+
+        def spy(params, l, z, mode, out=None):
+            threads.append(threading.current_thread())
+            return hidden_layer(params, l, z, mode, out=out)
+
+        monkeypatch.setattr(observables, "_hidden_layer", spy)
+        curves = {}
+        for n_cores in (1, 2):
+            self.cores(monkeypatch, n_cores)
+            threads.clear()
+            curves[n_cores] = ablation_curves(params, masks, ds, self.BOTH, self.COUNTS)
+            # two cores: one worker thread for each of the three chunks
+            assert len(set(threads) - {threading.current_thread()}) == (0 if n_cores == 1 else 3)
+        assert curves[1] == curves[2]
+        assert len({acc for _, acc in curves[1]["ascending"]}) > 2
+        incoming = masks.masks[0].sum(axis=0, dtype=np.int64)
+        for order, key in zip(self.BOTH, (incoming, -incoming)):
+            ranked = np.argsort(key, kind="stable")
+            assert curves[2][order] == [(c, accuracy(params, oracles.ablate_nodes(masks, 1, ranked[:c]), ds))
+                                        for c in self.COUNTS]
+        # one distinct set runs in one lane on two cores
+        threads.clear()
+        assert ablation_curves(params, masks, ds, self.BOTH, [0]) == {
+            order: [(0, accuracy(params, masks, ds))] for order in self.BOTH}
+        assert set(threads) == {threading.current_thread()}
+
+    @pytest.mark.parametrize("failing", ["calling", "worker"])
+    def test_a_lane_exception_reaches_the_caller_after_both_lanes_stop(self, rng, monkeypatch, failing):
+        params, masks, ds = trained_looking_net(rng)
+        self.cores(monkeypatch, 2)
+        error = RuntimeError(f"{failing} lane failed")
+        caller = threading.current_thread()
+        hidden_layer = observables._hidden_layer
+
+        def failing_layer(params, l, z, mode, out=None):
+            on_caller = threading.current_thread() is caller
+            if l > 0 and on_caller == (failing == "calling"):
+                raise error
+            if l > 0:
+                time.sleep(0.01)  # the other lane is still running when the error is raised
+            return hidden_layer(params, l, z, mode, out=out)
+
+        monkeypatch.setattr(observables, "_hidden_layer", failing_layer)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            ablation_curves(params, masks, ds, self.BOTH, self.COUNTS)
+        assert info.value is error
+        assert threading.active_count() == before
 
     def test_orders_and_counts_checked_before_any_evaluation(self, rng, monkeypatch):
         params, masks, ds = trained_looking_net(rng)
