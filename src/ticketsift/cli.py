@@ -29,7 +29,6 @@ from .datasets import (
     load_cifar_binary,
     load_class_mapping,
     load_idx,
-    pixel_coords,
     rotate_images,
     save_cifar_binary,
     save_idx,
@@ -328,8 +327,7 @@ def cmd_analyze(args) -> int:
     if obs == "pixmap":
         values = connectivity(masks, 0, "out").values
         base = _analysis_dir(run_dir) / f"{stem}_pixmap"
-        rows = zip(*(a.tolist() for a in pixel_coords(np.arange(values.size), geom)), values.tolist())
-        reports._write_csv(f"{base}.csv", "x,y,c,count", rows)
+        reports.export_pixmap_csv(values, geom, f"{base}.csv")
         ext = "ppm" if geom.channels == 3 else "pgm"
         reports.export_count_image(values, geom, f"{base}.{ext}")
         print(f"wrote {base}.csv")

@@ -233,10 +233,24 @@ def export_weighted_mask_image(values, geom, path, mask_row=None) -> None:
 
 def export_locality_csv(grid: np.ndarray, path) -> None:
     """CSV of every cell of a displacement grid (see LocalityMap.grid), header
-    dx,dy,count, zeros included."""
-    gh, gw = grid.shape
-    dy, dx = np.indices(grid.shape).reshape(2, -1) - np.array([[(gh - 1) // 2], [(gw - 1) // 2]])
-    _write_csv(path, "dx,dy,count", zip(dx.tolist(), dy.tolist(), grid.astype(np.int64).ravel().tolist()))
+    dx,dy,count, zeros included: dy ascending, and dx ascending within each dy.
+
+    A displacement grid has odd sides (2H-1, 2W-1), centred on (0, 0); any
+    other shape is refused with ValueError."""
+    grid = np.asarray(grid)
+    if grid.ndim != 2 or grid.shape[0] % 2 == 0 or grid.shape[1] % 2 == 0:
+        raise ValueError(f"a displacement grid is 2-D with odd sides, got shape {grid.shape}")
+    half_h, half_w = grid.shape[0] // 2, grid.shape[1] // 2
+    _write_count_grid(path, "dx,dy,count", range(-half_w, half_w + 1),
+                      map(str, range(-half_h, half_h + 1)), grid.astype(np.int64, copy=False).ravel())
+
+
+def export_pixmap_csv(values, geom, path) -> None:
+    """CSV of one count per input, header x,y,c,count, in flat input order
+    (index = c*H*W + y*W + x): x fastest, then y, then c."""
+    planes = _image_planes(values, geom)
+    outer = [f"{y},{c}" for c in range(geom.channels) for y in range(geom.height)]
+    _write_count_grid(path, "x,y,c,count", range(geom.width), outer, planes.ravel())
 
 
 def load_locality_csv(path) -> np.ndarray:
@@ -289,6 +303,17 @@ def export_imp_curve_csv(rows, path) -> None:
     """CSV iteration,u,best_val; rows are (iteration, density, best_val|None)."""
     _write_csv(path, "iteration,u,best_val",
                ((int(n), float(u), "" if best is None else float(best)) for n, u, best in rows))
+
+
+def _write_count_grid(path, header: str, inner_keys, outer_keys, counts: np.ndarray) -> None:
+    """CSV of a row-major grid of counts whose lines are ``inner,outer,count``,
+    the inner key varying fastest; outer keys are strings. One line template
+    for a grid row is built once and takes each outer key by ``str.replace``;
+    every count is then formatted by one ``%``, so the keys are not formatted
+    again per cell."""
+    row = "".join([f"{k},@,%s\n" for k in inner_keys])
+    body = "".join([row.replace("@", k) for k in outer_keys])
+    Path(path).write_text(header + "\n" + body % tuple(counts.tolist()))
 
 
 def _write_csv(path, header: str, rows) -> None:

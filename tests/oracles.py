@@ -7,6 +7,7 @@ package under test.
 
 import numpy as np
 
+from ticketsift.datasets import pixel_coords
 from ticketsift.network import ParamSet, forward, loss_and_grads
 
 
@@ -236,3 +237,22 @@ def ablate_nodes(masks, layer, nodes):
     out = masks.copy()
     out.masks[layer - 1][:, np.asarray(nodes, dtype=np.int64)] = 0
     return out
+
+
+def locality_csv_text(grid):
+    """Displacement CSV text of a 2-D grid with odd sides: every cell's
+    (dx, dy) offset from the centre taken from np.indices, each line written
+    with one %s per field."""
+    gh, gw = grid.shape
+    dy, dx = np.indices(grid.shape).reshape(2, -1) - np.array([[(gh - 1) // 2], [(gw - 1) // 2]])
+    rows = zip(dx.tolist(), dy.tolist(), grid.astype(np.int64).ravel().tolist())
+    return "dx,dy,count\n" + "".join("%s,%s,%s\n" % row for row in rows)
+
+
+def pixmap_csv_text(values, geom):
+    """Pixmap CSV text: pixel_coords columns (checked against scalar loops in
+    test_datasets) of every flat input index zipped with its count, each line
+    written with one %s per field."""
+    columns = pixel_coords(np.arange(values.size), geom)
+    rows = zip(*(a.tolist() for a in columns), values.tolist())
+    return "x,y,c,count\n" + "".join("%s,%s,%s,%s\n" % row for row in rows)

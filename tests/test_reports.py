@@ -12,6 +12,7 @@ from ticketsift.reports import (
     export_locality_csv,
     export_locality_image,
     export_mask_image,
+    export_pixmap_csv,
     export_train_curve_csv,
     export_weighted_mask_image,
     load_checkpoint,
@@ -329,11 +330,24 @@ class TestWeightedMaskImage:
 
 
 class TestLocalityFiles:
-    def test_csv_round_trip(self, rng, tmp_path):
-        grid = rng.integers(0, 50, size=(5, 7)).astype(np.int64)
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16], ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 7), (63, 63), (55, 55)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_csv_round_trip(self, rng, tmp_path, shape, dtype):
+        grid = rng.integers(0, 60000, size=shape).astype(dtype)
+        if dtype is np.int64:
+            grid.flat[-1] = 2**40
         path = tmp_path / "loc.csv"
         export_locality_csv(grid, path)
+        assert path.read_bytes() == oracles.locality_csv_text(grid).encode()
         assert np.array_equal(load_locality_csv(path), grid)
+
+    @pytest.mark.parametrize("shape", [(4, 6), (3, 4), (7,), (3, 3, 3)], ids=["4x6", "3x4", "1-D", "3-D"])
+    def test_csv_refuses_grid_without_two_odd_sides(self, tmp_path, shape):
+        path = tmp_path / "loc.csv"
+        with pytest.raises(ValueError, match="2-D with odd sides"):
+            export_locality_csv(np.zeros(shape, dtype=np.int64), path)
+        assert not path.exists()
 
     def test_csv_lists_every_cell(self, tmp_path):
         grid = np.zeros((3, 3), dtype=np.int64)
@@ -365,6 +379,22 @@ class TestLocalityFiles:
         export_locality_image(np.zeros((3, 3), dtype=np.int64), path)
         _, _, _, payload = parse_netpbm(path)
         assert payload == bytes(9)
+
+
+class TestPixmapFile:
+    @pytest.mark.parametrize("geom", [ImageGeometry(4, 4, 1), ImageGeometry(4, 4, 3),
+                                      ImageGeometry(5, 3, 3)],
+                             ids=lambda g: f"{g.width}x{g.height}x{g.channels}")
+    def test_csv_bytes_match_oracle(self, rng, tmp_path, geom):
+        values = rng.integers(0, 200, size=geom.input_size)
+        values[-1] = 2**40
+        path = tmp_path / "pixmap.csv"
+        export_pixmap_csv(values, geom, path)
+        assert path.read_bytes() == oracles.pixmap_csv_text(values, geom).encode()
+
+    def test_csv_refuses_values_of_another_size(self, tmp_path):
+        with pytest.raises(ValueError, match="flat row of 16"):
+            export_pixmap_csv(np.zeros(15, dtype=np.int64), ImageGeometry(4, 4, 1), tmp_path / "p.csv")
 
 
 class TestCurveFiles:
