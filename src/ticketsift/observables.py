@@ -10,6 +10,7 @@ symmetric under d -> -d.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,10 +82,30 @@ def _check_mask(mask_matrix, geom: ImageGeometry, channel_mode: str) -> np.ndarr
     return mask_matrix != 0
 
 
-# Complex cells (16 bytes each) in one chunk of node spectra: the transform
-# path's working memory stays a small multiple of 16 MiB whatever the node
-# count.
-_FFT_CHUNK_CELLS = 1 << 20
+# Float64 cells (8 bytes each) of the images of one chunk of transform-path
+# nodes, and of the x-spectra of one group of x-frequencies of a chunk. They
+# bound the transform path's working memory whatever the node count; a group
+# small enough to stay off the allocator's mmap path also saves the page
+# faults of a fresh mapping per group.
+_DFT_CHUNK_CELLS = 1 << 17
+_DFT_GROUP_CELLS = 1 << 14
+
+
+def _diagonal_sums(gram: np.ndarray, h: int) -> np.ndarray:
+    """P(dy, kx), shape (2, n_kx, 2H-1), from the Gram of each kx over the
+    rows (part, y): the real part Qr = Re Re^T + Im Im^T and the imaginary
+    part Qi = Im Re^T - (Im Re^T)^T, each summed along its diagonals y' - y.
+
+    Row y of Q^T is written into row y of an (H, 2H) buffer starting at
+    column H - 1 - y, so Q[y', y] lands in column y' - y + H - 1 and each
+    column sums one diagonal. Qr is symmetric, and Qi^T = -Qi.
+    """
+    n_kx, gh = len(gram), 2 * h - 1
+    skew = np.zeros((2, n_kx, h, 2 * h))
+    rows = skew.reshape(2, n_kx, 2 * h * h)[:, :, h - 1 : h - 1 + h * gh].reshape(2, n_kx, h, gh)[..., :h]
+    np.add(gram[:, :h, :h], gram[:, h:, h:], out=rows[0])
+    np.subtract(gram[:, h:, :h].transpose(0, 2, 1), gram[:, h:, :h], out=rows[1])
+    return skew.sum(axis=2)[..., :gh]
 
 
 def _locality_grids(
@@ -118,25 +139,38 @@ def _locality_grids(
     if offsets:
         grids += np.bincount(np.concatenate(offsets), minlength=n_bins * cells).reshape(grids.shape)
 
-    # Transform path: a node's same-channel grid is the autocorrelation of its
-    # surviving-input image, zero-padded to (2H, 2W) so that no displacement
-    # wraps around.
+    # Transform path; see locality_map. Sorting by bin makes each bin one run
+    # of columns in every chunk.
     nodes = np.flatnonzero(dense)
     if nodes.size:
-        spectra = np.zeros((n_bins, 2 * h, w + 1))
-        chunk = max(1, _FFT_CHUNK_CELLS // (c * 2 * h * (w + 1)))
+        nodes = nodes[np.argsort(bin_of_node[nodes], kind="stable")]
+        angle = (np.pi / w) * np.outer(np.arange(w + 1), np.arange(w))
+        # rows (kx, part): the real and the imaginary part of the length-2W DFT
+        dft = np.stack([np.cos(angle), -np.sin(angle)], axis=1).reshape(2 * (w + 1), w)
+        spectra = np.zeros((n_bins, 2, w + 1, gh))  # P(dy, kx): real part, imaginary part
+        chunk = max(1, _DFT_CHUNK_CELLS // (w * h * c))
         for start in range(0, nodes.size, chunk):
             part = nodes[start : start + chunk]
-            images = np.ascontiguousarray(mask_matrix[:, part].T, dtype=np.float64)
-            f = np.fft.fft(np.fft.rfft(images.reshape(part.size, c, h, w), n=2 * w), n=2 * h, axis=-2)
-            power = (f.real ** 2 + f.imag ** 2).sum(axis=1)
-            if channel_mode == "different":
-                total = f.sum(axis=1)
-                power = total.real ** 2 + total.imag ** 2 - power
-            for b in np.unique(bin_of_node[part]):
-                spectra[b] += power[bin_of_node[part] == b].sum(axis=0)
-        corr = np.fft.irfft2(spectra, s=(2 * h, 2 * w))
-        corr = np.roll(corr, (h - 1, w - 1), axis=(1, 2))[:, :gh, :gw]
+            # transposed as bytes, then cast: a transposing cast takes twice as long
+            images = mask_matrix[:, part].reshape(c, h, w, part.size).transpose(2, 1, 3, 0)
+            images = np.ascontiguousarray(images).astype(np.float64).reshape(w, -1)
+            part_bins = bin_of_node[part]
+            starts = np.flatnonzero(np.r_[True, part_bins[1:] != part_bins[:-1]])
+            runs = list(zip(starts, np.r_[starts[1:], part.size]))
+            group = max(1, _DFT_GROUP_CELLS // (2 * h * part.size * c))
+            for k0 in range(0, w + 1, group):
+                k1 = min(k0 + group, w + 1)
+                # f[kx, (part, y), node, channel]: the x-spectrum of every image row
+                f = (dft[2 * k0 : 2 * k1] @ images).reshape(k1 - k0, 2 * h, part.size, c)
+                for lo, hi in runs:
+                    z = f[:, :, lo:hi].reshape(k1 - k0, 2 * h, -1)
+                    gram = z @ z.transpose(0, 2, 1)
+                    if channel_mode == "different":
+                        total = f[:, :, lo:hi].sum(axis=3)
+                        gram = np.subtract(total @ total.transpose(0, 2, 1), gram, out=gram)
+                    spectra[part_bins[lo], :, k0:k1] += _diagonal_sums(gram, h)
+        corr = np.fft.irfft(spectra[:, 0] + 1j * spectra[:, 1], n=2 * w, axis=1)
+        corr = np.roll(corr, w - 1, axis=1)[:, :gw].transpose(0, 2, 1)
         counts = np.rint(corr)
         residual = float(np.abs(corr - counts).max())
         if residual > 0.25:
@@ -161,15 +195,32 @@ def locality_map(mask_matrix: np.ndarray, geom: ImageGeometry, channel_mode: str
     inputs of different channels and allows d = 0.
 
     A node with k surviving inputs takes one of two exact paths. When k^2
-    exceeds C*(2H)*(2W), the size of its zero-padded transform, its grid is
-    the autocorrelation of its surviving-input image, summed over nodes in
-    the Fourier domain and inverted once: |sum_c F_c|^2 - sum_c |F_c|^2 for
-    mode "different". The counts are integers of at most n_nodes*(C*H*W)^2,
-    far inside float64's exact range; the inverse transform's rounding error
-    is orders of magnitude below 0.5, so np.rint recovers them exactly, and
-    a residual above 0.25 raises. Otherwise the node's k^2 pair
-    displacements are enumerated and counted by one bincount over all such
-    nodes.
+    is at most C*(2H)*(2W), its k^2 pair displacements are enumerated, and
+    one bincount counts them for all such nodes. Otherwise the node takes
+    the transform path, whose work is BLAS products over all such nodes:
+
+    - Along x, a grid row is the autocorrelation of zero-padded image rows
+      of length 2W (so no dx wraps around), taken in the Fourier domain: one
+      product of a [cos; -sin] DFT matrix with the nodes' images, laid out
+      as (x, (y, node, channel)), gives F[kx, y] for every row.
+    - Along y the sum is direct. For each kx, the Gram over the (node,
+      channel) columns of the rows (Re F, Im F) gives G[y', y] = sum F[y']
+      conj(F[y]) as Qr = Re Re^T + Im Im^T and Qi = Im Re^T - (Im Re^T)^T;
+      mode "different" takes the Gram of the channel sums minus this
+      same-channel one. G summed along its diagonals y' - y = dy (the
+      column sums of a skewed copy) is P(dy, kx), and one irfft along kx
+      per bin, rolled by W - 1 and cropped, gives the grid.
+
+    Every intermediate is a float64 sum of products of 0/1 inputs with
+    sines and cosines, and the counts are integers of at most
+    n_nodes*(C*H*W)^2, far inside float64's exact range. The rounding error
+    of the products and the inverse transform is orders of magnitude below
+    0.5, so np.rint recovers the counts exactly, and a residual above 0.25
+    raises. Nodes are taken in chunks whose float64 images hold at most
+    _DFT_CHUNK_CELLS cells, and x-frequencies in groups whose spectra hold
+    at most _DFT_GROUP_CELLS cells (or one frequency's, if more); a group's
+    Gram and skewed copy hold 8H^2 cells per frequency. So the working
+    memory is bounded whatever the node count.
     """
     mask_matrix = _check_mask(mask_matrix, geom, channel_mode)
     bins = np.zeros(mask_matrix.shape[1], dtype=np.int64)
@@ -184,9 +235,14 @@ def locality_map_binned(
 
     bin_edges are ascending lower bounds; bin i holds nodes with surviving
     count in [edges[i], edges[i+1]), the last bin is unbounded above. Nodes
-    below edges[0] belong to no bin.
+    below edges[0] belong to no bin. Edges must be integers (numpy integers
+    included); any other value is refused rather than truncated.
     """
-    edges = [int(e) for e in bin_edges]
+    edges = list(bin_edges)
+    try:
+        edges = [operator.index(e) for e in edges]
+    except TypeError:
+        raise ValueError(f"bin_edges must be integers, got {edges!r}") from None
     if not edges or any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError("bin_edges must be non-empty and strictly ascending")
     mask_matrix = _check_mask(mask_matrix, geom, channel_mode)

@@ -254,7 +254,11 @@ def export_pixmap_csv(values, geom, path) -> None:
 
 
 def load_locality_csv(path) -> np.ndarray:
-    """Parse export_locality_csv output back into the displacement grid."""
+    """Parse export_locality_csv output back into the displacement grid.
+
+    The grid's half-widths are the largest |dx| and |dy| listed; a file that
+    repeats a cell or leaves one out is refused, naming the first such cell
+    (in file order for a repeat, in dy-then-dx order for a gap)."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0] != "dx,dy,count":
         raise ValueError(f"{path} is not a displacement CSV")
@@ -267,8 +271,16 @@ def load_locality_csv(path) -> np.ndarray:
     half_w = max(abs(r[0]) for r in rows)
     half_h = max(abs(r[1]) for r in rows)
     grid = np.zeros((2 * half_h + 1, 2 * half_w + 1), dtype=np.int64)
+    seen = np.zeros(grid.shape, dtype=bool)
     for dx, dy, count in rows:
-        grid[dy + half_h, dx + half_w] = count
+        cell = (dy + half_h, dx + half_w)
+        if seen[cell]:
+            raise ValueError(f"{path} repeats the cell dx={dx}, dy={dy}")
+        seen[cell] = True
+        grid[cell] = count
+    if not seen.all():
+        dy, dx = np.argwhere(~seen)[0]
+        raise ValueError(f"{path} has no row for the cell dx={dx - half_w}, dy={dy - half_h}")
     return grid
 
 

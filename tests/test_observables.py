@@ -208,6 +208,79 @@ class TestLocalityBinned:
             with pytest.raises(ValueError):
                 locality_map_binned(mat, geom, "same", edges)
 
+    def test_non_integral_edges_refused_numpy_integers_accepted(self, rng):
+        geom = ImageGeometry(4, 4, 1)
+        mat = random_mask_matrix(rng, geom, 6, 0.5)
+        for edges in ([0, 2.5], [0.0, 2], np.array([0.5, 9.0]), ["0", "2"]):
+            with pytest.raises(ValueError, match="must be integers"):
+                locality_map_binned(mat, geom, "same", edges)
+        want = [m.grid for m in locality_map_binned(mat, geom, "same", [0, 7])]
+        for edges in (np.array([0, 7]), [np.int32(0), np.uint8(7)]):
+            got = [m.grid for m in locality_map_binned(mat, geom, "same", edges)]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestLocalityTransformPath:
+    """Nodes with k^2 > C*(2H)*(2W) take the DFT-and-Gram path; these cases
+    shrink its chunk and group sizes so that every bookkeeping branch runs."""
+
+    @staticmethod
+    def masks_with_counts(rng, geom, counts):
+        mat = np.zeros((geom.input_size, len(counts)), dtype=np.uint8)
+        for j, k in enumerate(counts):
+            mat[rng.choice(geom.input_size, k, replace=False), j] = 1
+        return mat
+
+    @pytest.mark.parametrize("mode", ["same", "different"])
+    @pytest.mark.parametrize("geom", [ImageGeometry(7, 5, 3), ImageGeometry(5, 9, 1)],
+                             ids=lambda g: f"{g.width}x{g.height}x{g.channels}")
+    def test_chunks_spanning_bins_match_brute_force(self, rng, monkeypatch, geom, mode):
+        n_in = geom.input_size
+        split = geom.channels * (2 * geom.height) * (2 * geom.width)
+        low = int(split ** 0.5) + 1  # the smallest count on the transform path
+        assert low * low > split >= (low - 1) ** 2
+        # bins: [2, low) pair path only, [low, mid) empty, [mid, top) full,
+        # [top, n_in) empty, [n_in, inf) full; plus nodes below every edge
+        mid, top = (low + n_in) // 2, n_in - 2
+        edges = [2, low, mid, top, n_in]
+        counts = [0, 1, 3, low - 1] + [mid, mid + 1, top - 1] * 3 + [n_in] * 5 + [low - 2, 2]
+        mat = self.masks_with_counts(rng, geom, rng.permutation(counts))
+        k = mat.sum(axis=0)
+        bins = np.searchsorted(edges, k, side="right") - 1
+        dense = k * k > split
+        assert (dense & (bins == 2)).sum() == 9 and (dense & (bins == 4)).sum() == 5
+        assert not ((bins == 1) | (bins == 3)).any()
+
+        chunk = 4
+        monkeypatch.setattr(observables, "_DFT_CHUNK_CELLS", chunk * n_in)
+        # three x-frequencies per group of a full chunk; at W = 7 the last group holds 2
+        monkeypatch.setattr(observables, "_DFT_GROUP_CELLS", 3 * 2 * geom.height * chunk * geom.channels)
+        sorted_bins = np.sort(bins[dense])
+        per_chunk = [set(sorted_bins[i : i + chunk]) for i in range(0, sorted_bins.size, chunk)]
+        assert any(len(s) >= 2 for s in per_chunk)
+        assert all(sum(b in s for s in per_chunk) >= 2 for b in (2, 4))
+
+        assert np.array_equal(locality_map(mat, geom, mode).grid,
+                              oracles.brute_force_locality(mat, geom, mode))
+        maps = locality_map_binned(mat, geom, mode, edges)
+        for i, lmap in enumerate(maps):
+            assert np.array_equal(lmap.grid, oracles.brute_force_locality(mat[:, bins == i], geom, mode))
+        assert maps[1].grid.sum() == 0 and maps[3].grid.sum() == 0
+        if mode == "same":  # with one channel there are no cross-channel pairs
+            assert maps[2].grid.sum() > 0 and maps[4].grid.sum() > 0
+
+    @pytest.mark.parametrize("geom", [ImageGeometry(7, 5, 3), ImageGeometry(5, 9, 1), ImageGeometry(1, 6, 3)],
+                             ids=lambda g: f"{g.width}x{g.height}x{g.channels}")
+    def test_one_node_per_chunk_and_one_frequency_per_group(self, rng, monkeypatch, geom):
+        monkeypatch.setattr(observables, "_DFT_CHUNK_CELLS", 1)
+        monkeypatch.setattr(observables, "_DFT_GROUP_CELLS", 1)
+        mat = (rng.random((geom.input_size, 6)) < 0.8).astype(np.uint8)
+        k = mat.sum(axis=0)
+        assert (k * k > geom.channels * (2 * geom.height) * (2 * geom.width)).all()
+        for mode in ("same", "different"):
+            assert np.array_equal(locality_map(mat, geom, mode).grid,
+                                  oracles.brute_force_locality(mat, geom, mode))
+
 
 class TestEffectiveMasks:
     def test_single_mask_passthrough(self, rng):

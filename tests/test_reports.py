@@ -360,6 +360,24 @@ class TestLocalityFiles:
         assert "-1,-1,4" in lines
         assert lines.count("0,0,0") == 1
 
+    def test_csv_with_a_repeated_cell_refused(self, tmp_path):
+        path = tmp_path / "loc.csv"
+        path.write_text("dx,dy,count\n1,0,5\n1,0,7\n")
+        with pytest.raises(ValueError, match=r"loc\.csv repeats the cell dx=1, dy=0"):
+            load_locality_csv(path)
+        lines = oracles.locality_csv_text(np.arange(9).reshape(3, 3)).splitlines()
+        path.write_text("\n".join(lines[:5] + [lines[2].replace(",1", ",9")] + lines[5:]) + "\n")
+        with pytest.raises(ValueError, match=r"repeats the cell dx=0, dy=-1"):
+            load_locality_csv(path)
+
+    def test_csv_with_a_missing_cell_refused(self, tmp_path):
+        path = tmp_path / "loc.csv"
+        lines = oracles.locality_csv_text(np.arange(15).reshape(3, 5)).splitlines()
+        assert lines[7] == "-1,0,6" and lines[9] == "1,0,8"
+        path.write_text("\n".join(lines[:7] + lines[8:9] + lines[10:]) + "\n")
+        with pytest.raises(ValueError, match=r"loc\.csv has no row for the cell dx=-1, dy=0"):
+            load_locality_csv(path)
+
     def test_csv_bad_header_rejected(self, tmp_path):
         path = tmp_path / "loc.csv"
         path.write_text("a,b,c\n1,1,1\n")
