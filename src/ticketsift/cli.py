@@ -39,7 +39,6 @@ from .observables import (
     binomial_reference,
     connectivity,
     effective_masks,
-    locality_map,
     locality_map_binned,
     ablation_curves,
 )
@@ -239,13 +238,23 @@ def cmd_imp(args) -> int:
     return 0
 
 
-def _load_iteration(run_dir: Path, iteration: int):
+def _open_iteration(args):
+    """(run_dir, manifest, iteration entry, masks) of the iteration a command names."""
+    run_dir = Path(args.run_dir)
     manifest = reports.load_manifest(run_dir)
     for entry in manifest["iterations"]:
-        if entry["n"] == iteration:
-            return manifest, entry
+        if entry["n"] == args.iteration:
+            return run_dir, manifest, entry, reports.load_masks(run_dir / entry["mask_file"])
     have = [e["n"] for e in manifest["iterations"]]
-    raise ValueError(f"run has no iteration {iteration} (available: {have})")
+    raise ValueError(f"run has no iteration {args.iteration} (available: {have})")
+
+
+def _layer_chain(masks: MaskSet, layer: int, lowest: int = 1) -> list:
+    """The masks from the input plane up to hidden layer ``layer``, which must
+    lie in [lowest, k]; effective_masks of them is that layer's input mask."""
+    if not lowest <= layer <= len(masks.masks):
+        raise ValueError(f"need layer in [{lowest}, {len(masks.masks)}], got {layer}")
+    return masks.masks[:layer]
 
 
 def _recorded(manifest: dict, key: str):
@@ -259,6 +268,10 @@ def _recorded(manifest: dict, key: str):
 
 def _manifest_geometry(manifest: dict) -> ImageGeometry:
     return ImageGeometry(**_recorded(manifest, "geometry"))
+
+
+def _netpbm_ext(geom: ImageGeometry) -> str:  # reports writes RGB as P6, else P5
+    return "ppm" if geom.channels == 3 else "pgm"
 
 
 def _analysis_dir(run_dir: Path) -> Path:
@@ -276,9 +289,7 @@ def _int_list(flag: str, text: str) -> list:
 
 
 def cmd_analyze(args) -> int:
-    run_dir = Path(args.run_dir)
-    manifest, entry = _load_iteration(run_dir, args.iteration)
-    masks = reports.load_masks(run_dir / entry["mask_file"])
+    run_dir, manifest, entry, masks = _open_iteration(args)
     obs = args.observable
     geom = _manifest_geometry(manifest) if obs in ("locality", "locality-binned", "pixmap") else None
     stem = f"iter{args.iteration:03d}"
@@ -292,33 +303,21 @@ def cmd_analyze(args) -> int:
         return 0
 
     if obs in ("locality", "locality-binned"):
-        if not 1 <= args.layer <= len(masks.masks):
-            raise ValueError(f"layer must lie in [1, {len(masks.masks)}]")
-        matrix = masks.masks[0] if args.layer == 1 else effective_masks(masks.masks[: args.layer])
-        tag = "same" if args.channel == "same" else "diff"
-        if obs == "locality":
-            lmap = locality_map(matrix, geom, args.channel)
-            base = _analysis_dir(run_dir) / f"{stem}_locality_l{args.layer}_{tag}"
-            reports.export_locality_csv(lmap.grid, f"{base}.csv")
-            reports.export_locality_image(lmap.grid, f"{base}.pgm")
-            print(f"wrote {base}.csv")
-            return 0
-        edges = _int_list("--bin-edges", args.bin_edges)
+        # locality is the one-bin case, its files named without the bin suffix
+        edges = [0] if obs == "locality" else _int_list("--bin-edges", args.bin_edges)
+        matrix = effective_masks(_layer_chain(masks, args.layer))
         maps = locality_map_binned(matrix, geom, args.channel, edges)
-        out_dir = _analysis_dir(run_dir)
-        for i, lmap in enumerate(maps):
-            lo = edges[i]
-            hi = edges[i + 1] if i + 1 < len(edges) else "inf"
-            base = out_dir / f"{stem}_locality_l{args.layer}_{tag}_bin{i}_{lo}-{hi}"
-            reports.export_locality_csv(lmap.grid, f"{base}.csv")
-            reports.export_locality_image(lmap.grid, f"{base}.pgm")
-        print(f"wrote {len(maps)} binned maps to {out_dir}")
+        tag = "same" if args.channel == "same" else "diff"
+        base = _analysis_dir(run_dir) / f"{stem}_locality_l{args.layer}_{tag}"
+        for i, (lmap, hi) in enumerate(zip(maps, [*edges[1:], "inf"])):
+            name = base if obs == "locality" else f"{base}_bin{i}_{edges[i]}-{hi}"
+            reports.export_locality_csv(lmap.grid, f"{name}.csv")
+            reports.export_locality_image(lmap.grid, f"{name}.pgm")
+        print(f"wrote {base}.csv" if obs == "locality" else f"wrote {len(maps)} binned maps to {base.parent}")
         return 0
 
     if obs == "effmask":
-        if not 2 <= args.layer <= len(masks.masks):
-            raise ValueError(f"effmask needs layer in [2, {len(masks.masks)}]")
-        mu = effective_masks(masks.masks[: args.layer])
+        mu = effective_masks(_layer_chain(masks, args.layer, lowest=2))
         path = _analysis_dir(run_dir) / f"{stem}_effmask_l{args.layer}.tkms"
         reports.save_masks(path, MaskSet([mu]))
         print(f"wrote {path}")
@@ -328,15 +327,12 @@ def cmd_analyze(args) -> int:
         values = connectivity(masks, 0, "out").values
         base = _analysis_dir(run_dir) / f"{stem}_pixmap"
         reports.export_pixmap_csv(values, geom, f"{base}.csv")
-        ext = "ppm" if geom.channels == 3 else "pgm"
-        reports.export_count_image(values, geom, f"{base}.{ext}")
+        reports.export_count_image(values, geom, f"{base}.{_netpbm_ext(geom)}")
         print(f"wrote {base}.csv")
         return 0
 
     if obs == "binomial":
-        if not 1 <= args.layer <= len(masks.masks):
-            raise ValueError(f"layer must lie in [1, {len(masks.masks)}]")
-        n_prev = masks.masks[args.layer - 1].shape[0]
+        n_prev = _layer_chain(masks, args.layer)[-1].shape[0]
         k_max = args.k_max if args.k_max is not None else n_prev
         pmf = binomial_reference(n_prev, density(masks)[0][args.layer - 1], k_max)
         base = _analysis_dir(run_dir) / f"{stem}_binomial_l{args.layer}"
@@ -361,10 +357,8 @@ def _validation_split(run_dir: Path, manifest: dict):
 
 
 def cmd_ablate(args) -> int:
-    run_dir = Path(args.run_dir)
-    manifest, entry = _load_iteration(run_dir, args.iteration)
+    run_dir, manifest, entry, masks = _open_iteration(args)
     val_ds = _validation_split(run_dir, manifest)
-    masks = reports.load_masks(run_dir / entry["mask_file"])
     params = reports.load_checkpoint(run_dir / entry["params_file"])
     if len(val_ds) == 0:
         raise ValueError("run has no validation split to evaluate on")
@@ -383,21 +377,17 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_export_masks(args) -> int:
-    run_dir = Path(args.run_dir)
-    manifest, entry = _load_iteration(run_dir, args.iteration)
-    masks = reports.load_masks(run_dir / entry["mask_file"])
+    run_dir, manifest, entry, masks = _open_iteration(args)
     geom = _manifest_geometry(manifest)
-    if not 1 <= args.layer <= len(masks.masks):
-        raise ValueError(f"layer must lie in [1, {len(masks.masks)}]")
+    matrix = effective_masks(_layer_chain(masks, args.layer))
     if args.weighted and args.layer != 1:
         raise ValueError("weighted export is only defined for layer 1")
-    matrix = masks.masks[0] if args.layer == 1 else effective_masks(masks.masks[: args.layer])
     n_nodes = matrix.shape[1]
     if not 0 <= args.top <= n_nodes:
         raise ValueError(f"--top must lie in [0, {n_nodes}]")
     ranked = np.argsort(-matrix.sum(axis=0, dtype=np.int64), kind="stable")[: args.top]
     out_dir = _analysis_dir(run_dir)
-    ext = "ppm" if geom.channels == 3 else "pgm"
+    ext = _netpbm_ext(geom)
     weights = None
     if args.weighted:
         weights = reports.load_checkpoint(run_dir / entry["params_file"]).weights[0]

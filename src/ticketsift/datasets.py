@@ -346,7 +346,10 @@ class ClassMapping:
 
 
 def load_class_mapping(path) -> ClassMapping:
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"mapping file {path} is not valid JSON: {e}") from None
     if not isinstance(data, dict) or set(data) != {"n_macro", "table"}:
         raise ValueError(f"mapping file {path} must hold exactly n_macro and table")
     n_macro, table = data["n_macro"], data["table"]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,27 +307,15 @@ def _lanes(n_tasks: int) -> int:
 def _run_lanes(lane_task, n_lanes: int) -> None:
     """Call ``lane_task(lane)`` for every lane in range(n_lanes), n_lanes 1 or 2.
 
-    Lane 0 runs on the calling thread. Lane 1 runs on one worker thread,
-    started here and joined before this returns, also when a lane raises, so
-    no lane still runs once the caller sees the result. An exception raised
-    in a lane is re-raised unchanged, lane 0's first.
+    Lane 0 runs on the calling thread. Lane 1 runs on the one worker of an
+    executor whose ``with`` exit joins that worker, also when a lane raises,
+    so no lane still runs once the caller sees the result. An exception
+    raised in a lane is re-raised unchanged, lane 0's first.
     """
     if n_lanes == 1:
         lane_task(0)
         return
-    raised = []
-
-    def worker():
-        try:
-            lane_task(1)
-        except BaseException as e:  # handed to the calling thread below
-            raised.append(e)
-
-    thread = threading.Thread(target=worker, name="ticketsift-lane-1")
-    thread.start()
-    try:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ticketsift-lane") as pool:
+        lane_1 = pool.submit(lane_task, 1)
         lane_task(0)
-    finally:
-        thread.join()
-    if raised:
-        raise raised[0]
+    lane_1.result()

@@ -109,18 +109,21 @@ def _diagonal_sums(gram: np.ndarray, h: int) -> np.ndarray:
 
 
 def _locality_grids(
-    mask_matrix: np.ndarray, geom: ImageGeometry, channel_mode: str, bin_of_node: np.ndarray, n_bins: int
+    mask_matrix: np.ndarray, geom: ImageGeometry, channel_mode: str, edges: list
 ) -> np.ndarray:
-    """Exact displacement grids, shape (n_bins, 2H-1, 2W-1): node j adds its
-    ordered pairs to grid bin_of_node[j]; nodes with bin -1 add nothing.
+    """Exact displacement grids, shape (len(edges), 2H-1, 2W-1), one per
+    connectivity bin of locality_map_binned.
 
-    mask_matrix is a validated boolean (input_size, n_nodes) matrix. Each
-    node's surviving count picks one of two exact paths; see locality_map.
+    mask_matrix is a validated boolean (input_size, n_nodes) matrix and edges
+    validated bin edges. Each node's surviving count picks one of two exact
+    paths; see locality_map.
     """
     w, h, c = geom.width, geom.height, geom.channels
     gw, gh = 2 * w - 1, 2 * h - 1
     cells = gh * gw
+    n_bins = len(edges)
     k = np.count_nonzero(mask_matrix, axis=0)
+    bin_of_node = np.searchsorted(edges, k, side="right") - 1  # -1: below edges[0], in no bin
     active = (bin_of_node >= 0) & (k >= 2)
     dense = active & (k * k > c * (2 * h) * (2 * w))
     grids = np.zeros((n_bins, gh, gw), dtype=np.int64)
@@ -222,10 +225,7 @@ def locality_map(mask_matrix: np.ndarray, geom: ImageGeometry, channel_mode: str
     Gram and skewed copy hold 8H^2 cells per frequency. So the working
     memory is bounded whatever the node count.
     """
-    mask_matrix = _check_mask(mask_matrix, geom, channel_mode)
-    bins = np.zeros(mask_matrix.shape[1], dtype=np.int64)
-    grid = _locality_grids(mask_matrix, geom, channel_mode, bins, 1)[0]
-    return LocalityMap(grid, channel_mode, geom.width, geom.height)
+    return locality_map_binned(mask_matrix, geom, channel_mode, [0])[0]
 
 
 def locality_map_binned(
@@ -245,10 +245,7 @@ def locality_map_binned(
         raise ValueError(f"bin_edges must be integers, got {edges!r}") from None
     if not edges or any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError("bin_edges must be non-empty and strictly ascending")
-    mask_matrix = _check_mask(mask_matrix, geom, channel_mode)
-    counts = np.count_nonzero(mask_matrix, axis=0)
-    bins = np.searchsorted(edges, counts, side="right") - 1
-    grids = _locality_grids(mask_matrix, geom, channel_mode, bins, len(edges))
+    grids = _locality_grids(_check_mask(mask_matrix, geom, channel_mode), geom, channel_mode, edges)
     return [LocalityMap(g, channel_mode, geom.width, geom.height) for g in grids]
 
 
@@ -265,7 +262,7 @@ def effective_masks(mask_chain) -> np.ndarray:
     """
     if not mask_chain:
         raise ValueError("need at least one mask")
-    acc = np.asarray(mask_chain[0], dtype=np.float32)
+    acc = np.asarray(mask_chain[0])  # one mask is its own effective mask
     for m in mask_chain[1:]:
         m = np.asarray(m)
         if m.shape[0] != acc.shape[1]:

@@ -201,7 +201,7 @@ def export_mask_image(row, geom, path) -> None:
     planes = _image_planes(row, geom)
     if not ((planes == 0) | (planes == 1)).all():
         raise ValueError("mask row entries must be 0 or 1")
-    _write_netpbm(path, (planes * 255).astype(np.uint8))
+    _write_scaled_counts(path, planes)  # peak 1 -> 255; an all-zero row stays 0
 
 
 def export_weighted_mask_image(values, geom, path, mask_row=None) -> None:
@@ -258,14 +258,20 @@ def load_locality_csv(path) -> np.ndarray:
 
     The grid's half-widths are the largest |dx| and |dy| listed; a file that
     repeats a cell or leaves one out is refused, naming the first such cell
-    (in file order for a repeat, in dy-then-dx order for a gap)."""
+    (in file order for a repeat, in dy-then-dx order for a gap), and so is a
+    line that is not three integers or has a negative count, by line number."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0] != "dx,dy,count":
         raise ValueError(f"{path} is not a displacement CSV")
     rows = []
-    for line in lines[1:]:
-        dx, dy, count = line.split(",")
-        rows.append((int(dx), int(dy), int(count)))
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            dx, dy, count = (int(v) for v in line.split(","))
+        except ValueError:
+            raise ValueError(f"{path} line {number} is not three integers: {line!r}") from None
+        if count < 0:
+            raise ValueError(f"{path} line {number} has a negative count: {line!r}")
+        rows.append((dx, dy, count))
     if not rows:
         raise ValueError(f"{path} holds no displacement cells")
     half_w = max(abs(r[0]) for r in rows)
@@ -352,7 +358,12 @@ def load_manifest(run_dir) -> dict:
     path = run_dir / "manifest.json"
     if not path.is_file():
         raise ValueError(f"no manifest.json in {run_dir}")
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path} is not valid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object")
     referenced = [data[key] for key in ("rewind_file", "val_file") if data.get(key)]
     for it in data.get("iterations", []):
         for key in ("mask_file", "params_file", "curve_file"):

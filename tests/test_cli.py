@@ -719,11 +719,42 @@ class TestAnalyzeCommand:
         raw = base_config(tmp_path / "run")
         raw["imp"]["max_iterations"] = 0
         assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 0
-        for argv in (["locality", "--layer", "9"], ["locality-binned", "--bin-edges", "5,2"],
-                     ["conn", "--layer", "9"], ["effmask", "--layer", "1"], ["binomial", "--layer", "0"]):
-            assert main(["analyze", str(tmp_path / "run"), *argv, "--iteration", "0"]) == 1
+        run = str(tmp_path / "run")
+        refused = [["analyze", run, *argv, "--iteration", "0"] for argv in (
+            ["locality", "--layer", "9"], ["locality", "--layer", "0"], ["locality-binned", "--layer", "9"],
+            ["locality-binned", "--bin-edges", "5,2"], ["conn", "--layer", "9"], ["effmask", "--layer", "1"],
+            ["binomial", "--layer", "0"], ["binomial", "--layer", "9"])]
+        refused += [["export-masks", run, "--iteration", "0", *argv] for argv in (
+            ["--top", "1", "--layer", "9"], ["--top", "99"], ["--top", "1", "--weighted", "--layer", "2"])]
+        for argv in refused:
+            assert main(argv) == 1, argv
             assert capsys.readouterr().err.startswith("error:")
             assert not (tmp_path / "run/analysis").exists()
+
+    def test_locality_is_the_one_bin_locality_binned(self, imp_run):
+        run_dir, _ = imp_run
+        for layer in ("1", "2"):
+            for channel in ("same", "different"):
+                flags = ["--iteration", "2", "--layer", layer, "--channel", channel]
+                assert main(["analyze", str(run_dir), "locality", *flags]) == 0
+                assert main(["analyze", str(run_dir), "locality-binned", *flags, "--bin-edges", "0"]) == 0
+                base = run_dir / f"analysis/iter002_locality_l{layer}_{channel[:4]}"
+                for ext in ("csv", "pgm"):
+                    binned = Path(f"{base}_bin0_0-inf.{ext}")
+                    assert Path(f"{base}.{ext}").read_bytes() == binned.read_bytes()
+
+    @pytest.mark.parametrize("text", ['{"kind": "imp",\n', "[]\n"], ids=["truncated", "not-an-object"])
+    @pytest.mark.parametrize("command", ["analyze", "ablate", "imp"])
+    def test_corrupt_manifest_named(self, imp_run, tmp_path, capsys, command, text):
+        run_dir, _ = imp_run
+        copy = tmp_path / "run"
+        shutil.copytree(run_dir, copy)
+        (copy / "manifest.json").write_text(text)
+        argv = {"analyze": ["analyze", str(copy), "conn", "--iteration", "0"],
+                "ablate": ["ablate", str(copy), "--iteration", "0"],
+                "imp": ["imp", "--config", write_config(tmp_path / "c.json", base_config(copy))]}[command]
+        assert main(argv) == 1
+        assert str(copy / "manifest.json") in capsys.readouterr().err
 
     def test_missing_iteration_rejected(self, imp_run, capsys):
         run_dir, _ = imp_run
@@ -970,6 +1001,16 @@ class TestClusterCommand:
         assert main(["cluster", "--format", "idx", "--mode", "semantic",
                      "--labels", str(src), "--out", str(tmp_path / "o.idx")]) == 1
         assert "mapping" in capsys.readouterr().err
+
+    def test_truncated_mapping_named(self, tmp_path, capsys):
+        src = tmp_path / "in.idx"
+        write_idx_labels(src, [0, 1])
+        mapping = tmp_path / "map.json"
+        mapping.write_text('{"n_macro": 2, "table": [0,')
+        assert main(["cluster", "--format", "idx", "--mode", "semantic", "--labels", str(src),
+                     "--mapping", str(mapping), "--out", str(tmp_path / "o.idx")]) == 1
+        assert str(mapping) in capsys.readouterr().err
+        assert not (tmp_path / "o.idx").exists()
 
     def test_semantic_label_beyond_mapping_rejected(self, tmp_path, capsys):
         src, out = tmp_path / "in.idx", tmp_path / "out.idx"

@@ -375,6 +375,12 @@ class TestClusterClasses:
             with pytest.raises(ValueError):
                 load_class_mapping(path)
 
+    def test_invalid_mapping_json_names_the_file(self, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text('{"n_macro": 2, "table": [0,')
+        with pytest.raises(ValueError, match=r"mapping file .*map\.json is not valid JSON"):
+            load_class_mapping(path)
+
 
 class TestRotate:
     def test_zero_degrees_is_identity(self, rng):

@@ -267,6 +267,8 @@ class TestMaskImage:
         magic, w, h, payload = parse_netpbm(path)
         assert (magic, w, h) == (b"P5", 2, 2)
         assert payload == bytes([255, 0, 0, 255])
+        export_mask_image(np.zeros(4, dtype=np.uint8), geom, path)
+        assert parse_netpbm(path) == (b"P5", 2, 2, bytes(4))
 
     def test_rgb_interleaves_channels(self, tmp_path):
         geom = ImageGeometry(2, 2, 3)
@@ -384,6 +386,17 @@ class TestLocalityFiles:
         with pytest.raises(ValueError):
             load_locality_csv(path)
 
+    @pytest.mark.parametrize("row, problem", [("0,0,1,9", "is not three integers"),
+                                              ("0,0,x", "is not three integers"),
+                                              ("0,0", "is not three integers"),
+                                              ("0,0,-1", "has a negative count")])
+    def test_csv_bad_row_named_by_line(self, tmp_path, row, problem):
+        path = tmp_path / "loc.csv"
+        lines = oracles.locality_csv_text(np.arange(9).reshape(3, 3)).splitlines()
+        path.write_text("\n".join(lines[:5] + [row] + lines[6:]) + "\n")
+        with pytest.raises(ValueError, match=rf"loc\.csv line 6 {problem}: '{row}'"):
+            load_locality_csv(path)
+
     def test_image_scaling(self, tmp_path):
         grid = np.array([[0, 2], [4, 4]], dtype=np.int64)
         path = tmp_path / "loc.pgm"
@@ -473,4 +486,12 @@ class TestManifest:
 
     def test_absent_manifest_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="manifest"):
+            load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("text, problem", [('{"kind": "imp",\n', "is not valid JSON"),
+                                               ("[1, 2]\n", "must hold a JSON object")],
+                             ids=["truncated", "not-an-object"])
+    def test_corrupt_manifest_named(self, tmp_path, text, problem):
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(ValueError, match=rf"manifest\.json {problem}"):
             load_manifest(tmp_path)
