@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,6 +314,9 @@ def _run_lanes(lane_task, n_lanes: int) -> None:
     if n_lanes == 1:
         lane_task(0)
         return
+    # imported here: it brings logging and queue, which nothing else needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="ticketsift-lane") as pool:
         lane_1 = pool.submit(lane_task, 1)
         lane_task(0)

@@ -12,6 +12,7 @@ nodes have no incoming connection left.
 from __future__ import annotations
 
 import datetime
+import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -170,26 +171,44 @@ def iteration_seed(master_seed: int, n: int) -> int:
     return int(np.random.SeedSequence([int(master_seed), 1000 + int(n)]).generate_state(1)[0])
 
 
-def _config_fingerprint(dims, imp_config: dict, run_config) -> dict:
-    """What a run directory is bound to: dims, the IMP settings and, when the
-    run was given one, its whole run configuration (dataset included), as the
-    manifest stores them."""
-    d = dict(imp_config, max_iterations=None, dims=list(dims))  # a run may be extended
-    if run_config is not None:  # imp compared as imp_config; a run directory may be moved
-        d["run_config"] = {k: v for k, v in run_config.items() if k not in ("imp", "output")}
-    return json.loads(json.dumps(d))
+def _data_digest(ds) -> str:
+    """SHA-256 of a split's images and labels, each hashed as its dtype, its
+    shape and its buffer (ImageDataset keeps both C-contiguous: no copy)."""
+    h = hashlib.sha256()
+    for a in (ds.images, ds.labels):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a)
+    return h.hexdigest()
 
 
-def _write_run_manifest(run: ImpRun, geometry, imp_config, run_config, created_at) -> None:
+def _bound_settings(settings: dict) -> dict:
+    """What a run directory is bound to, as JSON stores it: its settings
+    record apart from imp_config.max_iterations (a run may be extended) and
+    the data digests, which a resume checks on their own."""
+    imp_config = dict(settings["imp_config"], max_iterations=None)
+    return json.loads(json.dumps(dict(settings, imp_config=imp_config, data_sha256=None)))
+
+
+def _recorded_settings(manifest: dict) -> dict:
+    """The settings record of a manifest. Runs made before it was one record
+    stored a CLI run's settings as run_config, alone or beside imp_config
+    (which then holds the IMP settings), and a library run's with run_config
+    null; runs made before the data digests record none."""
+    old = manifest.get("run_config")
+    return {"dims": manifest["dims"],
+            "imp_config": manifest.get("imp_config") or asdict(imp_settings(old)[1]),
+            "dataset": manifest.get("dataset") or old and old["dataset"],
+            "data_sha256": manifest.get("data_sha256")}
+
+
+def _write_run_manifest(run: ImpRun, geometry, settings: dict, created_at) -> None:
     data = {
         "format_version": reports.FORMAT_VERSION,
         "kind": "imp",
         "pixel_layout": reports.PIXEL_LAYOUT,
         "created_at": created_at,
-        "dims": list(run.dims),
+        **settings,
         "geometry": asdict(geometry),
-        "imp_config": imp_config,
-        "run_config": run_config,
         "rewind_file": "rewind.tkts",
         "val_file": "val.tkds",
         "stopped_reason": run.stopped_reason,
@@ -207,21 +226,18 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     Every iteration's masks, final parameters, and training curve are written
     under run_dir, and manifest.json is updated after each one, so an
     interrupted run resumes from its last completed iteration (and a finished
-    run can be extended by raising max_iterations). A run resumes only under
-    the dims and IMP settings it was made with and, when run_config is given,
-    the same run configuration apart from output.run_dir; otherwise it
-    raises ValueError, as do settings that do not fit train_ds, before run_dir
-    is touched. A given run_config must give dims and cfg under imp_settings;
-    without one the manifest stores cfg as imp_config, except that a resume
-    keeps a recorded run configuration as the one record of the settings
-    (beside imp_config only if the run recorded both). The manifest records
-    the image geometry of train_ds and keeps the created_at of the run's
-    first write. Iteration 0, once the dense run has trained, also stores
-    val_ds in val.tkds, which the analyses evaluate on, so a dense run that
-    fails leaves no file. Every resume rewrites the manifest in the current
-    shape, keeping the larger of the recorded and the given max_iterations;
-    it writes val_ds to val.tkds only for a run made before that file
-    existed, and otherwise leaves the file.
+    run can be extended by raising max_iterations). The manifest holds one
+    settings record: dims, cfg as imp_config, run_config's dataset section
+    (null without one) and the SHA-256 of each split's data. A resume must
+    match it apart from max_iterations, of which it keeps the larger; a
+    caller without run_config is held to the recorded dataset, and a run
+    recorded before its digests compares val_ds with val.tkds. A mismatch, or
+    settings that do not fit train_ds, raise ValueError before any byte is
+    written. A given run_config must give dims and cfg under imp_settings.
+    The manifest also records train_ds's geometry and its first write's
+    created_at. Iteration 0, once the dense run has trained, stores val_ds in
+    val.tkds, which the analyses read, so a failed dense run leaves no file;
+    a resume writes it only for a run made before that file existed.
     """
     dims = check_dims(dims)
     if dims[0] != train_ds.geometry.input_size:
@@ -229,9 +245,13 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     if dims[-1] != train_ds.n_classes:
         raise ValueError(f"network output width {dims[-1]} != {train_ds.n_classes} classes")
     _prunable(cfg.layers_to_prune, len(dims) - 2)
-    if run_config is not None and imp_settings(run_config) != (dims, cfg):
-        raise ValueError("run_config does not give these dims and IMP settings")
-    imp_config = asdict(cfg) if run_config is None else None
+    digests = {"train": _data_digest(train_ds), "val": _data_digest(val_ds)}
+    settings = {"dims": dims, "imp_config": asdict(cfg),
+                "dataset": run_config and run_config["dataset"], "data_sha256": digests}
+    if run_config is not None:  # read as the manifests of CLI runs once stored it
+        given = _recorded_settings({"dims": run_config["network"]["dims"], "run_config": run_config})
+        if given != dict(settings, data_sha256=None):
+            raise ValueError("run_config does not give these dims and IMP settings")
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     master = cfg.train_cfg.seed
@@ -241,28 +261,29 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
         manifest = reports.load_manifest(run_dir)
         if manifest.get("kind") != "imp":
             raise ValueError(f"{run_dir} does not hold a pruning run")
-        recorded_config = None if run_config is None else manifest.get("run_config") or {}
-        # library runs, and runs made before run_config was stored normalized, record imp_config
-        recorded_imp = manifest.get("imp_config") or asdict(imp_settings(manifest["run_config"])[1])
-        if (_config_fingerprint(manifest["dims"], recorded_imp, recorded_config)
-                != _config_fingerprint(dims, asdict(cfg), run_config)):
+        recorded = _recorded_settings(manifest)
+        if run_config is None:
+            settings["dataset"] = recorded["dataset"]
+        if _bound_settings(recorded) != _bound_settings(settings):
             raise ValueError(f"existing run in {run_dir} was produced by a different configuration")
+        recorded_digests = recorded["data_sha256"]
+        if recorded_digests is None and manifest.get("val_file"):
+            recorded_digests = {"val": _data_digest(reports.load_split(run_dir / manifest["val_file"]))}
+        for split, digest in (recorded_digests or {}).items():
+            if digest != digests[split]:
+                raise ValueError(f"the {split} split differs from the one the run in {run_dir} was made with")
         run.iterations = [ImpIteration(masks=reports.load_masks(run_dir / entry["mask_file"]), **entry)
                           for entry in manifest["iterations"]]
         rewind_params = reports.load_checkpoint(run_dir / manifest["rewind_file"])
         run.rewind_ckpt = Checkpoint(cfg.rewind_step, rewind_params)
         run.stopped_reason = manifest.get("stopped_reason", "")
-        kept = max(cfg.max_iterations, recorded_imp["max_iterations"])  # a lower rerun changes no byte
-        if run_config is None and manifest.get("run_config"):  # keep the recorded configuration,
-            run_config = manifest["run_config"]  # and the settings once unless it stored them twice
-            imp_config = manifest.get("imp_config") and imp_config
-        imp_config = imp_config and dict(imp_config, max_iterations=kept)
-        if run_config and run_config["imp"]:
-            run_config = dict(run_config, imp=dict(run_config["imp"], max_iterations=kept))
+        # a lower rerun changes no byte
+        settings["imp_config"]["max_iterations"] = max(cfg.max_iterations,
+                                                       recorded["imp_config"]["max_iterations"])
         created_at = manifest["created_at"]
         if not manifest.get("val_file"):  # a run made before the split was stored
             reports.save_split(run_dir / "val.tkds", val_ds)
-        _write_run_manifest(run, train_ds.geometry, imp_config, run_config, created_at)
+        _write_run_manifest(run, train_ds.geometry, settings, created_at)
         if run.stopped_reason == "node_fraction" or len(run.iterations) > cfg.max_iterations:
             return run
         params = reports.load_checkpoint(run_dir / run.iterations[-1].params_file)
@@ -274,7 +295,7 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
             masks = prune_step(params, run.iterations[-1].masks, cfg.prune_fraction, cfg.layers_to_prune)
             if stop_condition(masks, cfg.stop_node_fraction):
                 run.stopped_reason = "node_fraction"
-                _write_run_manifest(run, train_ds.geometry, imp_config, run_config, created_at)
+                _write_run_manifest(run, train_ds.geometry, settings, created_at)
                 break
             start = rewind(params, run.rewind_ckpt, masks)
         # train reads rewind_step only under capture_rewind
@@ -294,6 +315,6 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
         reports.save_checkpoint(run_dir / it.params_file, params)
         reports.export_train_curve_csv(result.records, run_dir / it.curve_file)
         run.iterations.append(it)
-        _write_run_manifest(run, train_ds.geometry, imp_config, run_config, created_at)
+        _write_run_manifest(run, train_ds.geometry, settings, created_at)
 
     return run

@@ -1,5 +1,7 @@
+import hashlib
 import os
 import tracemalloc
+from pathlib import Path
 
 # One BLAS thread unless the environment says otherwise, set before numpy is
 # imported: the desk runs are fastest as parallel one-thread processes, and a
@@ -33,3 +35,10 @@ def traced_peak(fn):
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def file_digests(root) -> dict:
+    """SHA-256 of every file under root, keyed by its relative path."""
+    root = Path(root)
+    return {p.relative_to(root): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}

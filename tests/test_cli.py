@@ -23,7 +23,7 @@ from ticketsift.pruner import ImpConfig, imp_settings, run_imp
 from ticketsift.reports import load_checkpoint, load_locality_csv, load_masks, load_split, save_split
 from ticketsift.trainer import TrainConfig
 
-from conftest import random_dataset, traced_peak
+from conftest import file_digests, random_dataset, traced_peak
 
 DIMS = [16, 8, 4, 2]
 
@@ -60,14 +60,17 @@ def config_section(raw, key):
     return raw, last
 
 
-def as_earlier_manifest(run_dir, raw_imp, imp_cfg):
+def as_earlier_manifest(run_dir, raw_imp):
     """Rewrite a run's manifest into the shape written before the run
-    configuration was stored normalized: the IMP settings in imp_config, and
-    run_config.imp as the config file gave it."""
+    configuration was stored normalized: the IMP settings in imp_config,
+    beside run_config with its imp section as the config file gave it, and no
+    data digests."""
     path = Path(run_dir) / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["imp_config"] = asdict(imp_cfg)
-    manifest["run_config"]["imp"] = raw_imp
+    train = {k: v for k, v in manifest["imp_config"]["train_cfg"].items() if k != "translate_augment"}
+    manifest["run_config"] = {"dataset": manifest.pop("dataset"), "network": {"dims": manifest["dims"]},
+                              "train": train, "imp": raw_imp, "output": {"run_dir": str(run_dir)}}
+    del manifest["data_sha256"]
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -393,8 +396,7 @@ class TestTrainCommand:
         manifests = []
         for name in ("a", "b"):
             m = json.loads((tmp_path / name / "manifest.json").read_text())
-            m.pop("created_at")
-            m["run_config"]["output"].pop("run_dir")
+            m.pop("created_at")  # the run directory is not recorded
             manifests.append(m)
         assert manifests[0] == manifests[1]
 
@@ -441,7 +443,7 @@ class TestTrainCommand:
         config = write_config(tmp_path / "c.json", raw)
         assert main(["train", "--config", config]) == 0
         manifest = json.loads((tmp_path / "trained/manifest.json").read_text())
-        assert manifest["run_config"]["imp"]["max_iterations"] == 0
+        assert manifest["imp_config"]["max_iterations"] == 0
         oneshot = dict(raw, output={"run_dir": str(tmp_path / "oneshot")})
         assert main(["imp", "--config", write_config(tmp_path / "oneshot.json", oneshot)]) == 0
         zero = ("rewind.tkts", "iters/000/masks.tkms", "iters/000/params.tkts",
@@ -461,9 +463,10 @@ class TestTrainCommand:
         manifest_path = tmp_path / "run/manifest.json"
         manifest = json.loads(manifest_path.read_text())
         legacy = {key: manifest[key] for key in (
-            "format_version", "pixel_layout", "created_at", "dims", "geometry", "run_config",
-            "rewind_file", "iterations")}
-        legacy.update(kind="train", stopped_reason="")  # as dense runs were once written
+            "format_version", "pixel_layout", "created_at", "dims", "geometry", "rewind_file",
+            "iterations")}
+        # as dense runs were once written
+        legacy.update(kind="train", stopped_reason="", run_config=load_run_config(config))
         manifest_path.write_text(json.dumps(legacy, indent=2) + "\n")
         before = manifest_path.read_bytes()
         assert main(["imp", "--config", config]) == 1
@@ -528,28 +531,53 @@ class TestImpCommand:
         assert "completed 3 iterations" in capsys.readouterr().out
 
     def test_settings_stored_once(self, imp_run):
-        manifest = json.loads((imp_run[0] / "manifest.json").read_text())
-        assert manifest["imp_config"] is None
-        run_config = manifest["run_config"]
-        assert sorted(run_config["imp"]) == ["layers_to_prune", "max_iterations", "prune_fraction",
-                                             "rewind_step", "stop_node_fraction"]
-        assert "translate_augment" not in run_config["train"]
-        assert run_config["dataset"]["translate_augment"] is False
+        run_dir, config = imp_run
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        cfg = load_run_config(config)
+        assert not {"run_config", "network", "train", "imp", "output"} & set(manifest)
+        assert manifest["dims"] == cfg["network"]["dims"]
+        assert manifest["imp_config"] == asdict(imp_settings(cfg)[1])
+        assert manifest["imp_config"]["train_cfg"]["translate_augment"] is False
+        assert manifest["dataset"] == cfg["dataset"]
 
     def test_manifest_of_the_earlier_shape_resumes(self, imp_run, tmp_path, capsys):
         raw = base_config(tmp_path / "run")
         raw["imp"]["max_iterations"] = 1
         config = write_config(tmp_path / "a.json", raw)
         assert main(["imp", "--config", config]) == 0
-        as_earlier_manifest(tmp_path / "run", dict(raw["imp"]), imp_settings(load_run_config(config))[1])
+        digests = json.loads((tmp_path / "run/manifest.json").read_text())["data_sha256"]
+        as_earlier_manifest(tmp_path / "run", dict(raw["imp"]))
         raw["imp"]["max_iterations"] = 2
         assert main(["imp", "--config", write_config(tmp_path / "b.json", raw)]) == 0
         assert "completed 3 iterations" in capsys.readouterr().out
         for rel in ("iters/002/masks.tkms", "iters/002/params.tkts", "imp_curve.csv"):
             assert (tmp_path / "run" / rel).read_bytes() == (imp_run[0] / rel).read_bytes()
         manifest = json.loads((tmp_path / "run/manifest.json").read_text())
-        assert manifest["imp_config"] is None
-        assert manifest["run_config"]["imp"]["stop_node_fraction"] == 0.8
+        assert "run_config" not in manifest
+        assert manifest["imp_config"]["stop_node_fraction"] == 0.8
+        assert manifest["dataset"] == load_run_config(config)["dataset"]
+        assert manifest["data_sha256"] == digests
+
+    def test_manifest_with_run_config_alone_resumes(self, imp_run, tmp_path, capsys):
+        raw = base_config(tmp_path / "run")
+        raw["imp"]["max_iterations"] = 1
+        config = write_config(tmp_path / "a.json", raw)
+        assert main(["imp", "--config", config]) == 0
+        path = tmp_path / "run/manifest.json"
+        oneshot = json.loads(path.read_text())
+        # as CLI runs were recorded before the one settings record
+        manifest = {k: v for k, v in oneshot.items() if k not in ("dataset", "data_sha256")}
+        path.write_text(json.dumps(dict(manifest, imp_config=None, run_config=load_run_config(config))))
+        raw["imp"]["max_iterations"] = 2
+        assert main(["imp", "--config", write_config(tmp_path / "b.json", raw)]) == 0
+        assert "completed 3 iterations" in capsys.readouterr().out
+        for rel in ("iters/002/masks.tkms", "iters/002/params.tkts", "imp_curve.csv"):
+            assert (tmp_path / "run" / rel).read_bytes() == (imp_run[0] / rel).read_bytes()
+        resumed = json.loads(path.read_text())
+        assert "run_config" not in resumed
+        for key in ("dims", "dataset", "data_sha256"):
+            assert resumed[key] == oneshot[key]
+        assert resumed["imp_config"] == dict(oneshot["imp_config"], max_iterations=2)
 
     def test_earlier_run_on_the_old_rewind_default(self, tmp_path, capsys):
         raw = base_config(tmp_path / "run")
@@ -558,7 +586,7 @@ class TestImpCommand:
         config = write_config(tmp_path / "a.json", raw)
         assert main(["imp", "--config", config]) == 0
         del raw["imp"]["rewind_step"]  # which imp.rewind_step once defaulted to
-        as_earlier_manifest(tmp_path / "run", dict(raw["imp"]), imp_settings(load_run_config(config))[1])
+        as_earlier_manifest(tmp_path / "run", dict(raw["imp"]))
         before = (tmp_path / "run/manifest.json").read_bytes()
         raw["imp"]["max_iterations"] = 1
         assert main(["imp", "--config", write_config(tmp_path / "b.json", raw)]) == 1
@@ -586,19 +614,70 @@ class TestImpCommand:
         raw["imp"]["max_iterations"] = 1
         config = write_config(tmp_path / "c.json", raw)
         assert main(["imp", "--config", config]) == 0
-        recorded = json.loads((tmp_path / "run/manifest.json").read_text())["run_config"]
+        recorded = json.loads((tmp_path / "run/manifest.json").read_text())
         cfg = load_run_config(config)
         train_ds, val_ds = build_dataset(cfg)
         imp_cfg = ImpConfig(train_cfg=TrainConfig(**cfg["train"]), **{**cfg["imp"], "max_iterations": 2})
         run_imp(cfg["network"]["dims"], train_ds, val_ds, imp_cfg, tmp_path / "run")
         manifest = json.loads((tmp_path / "run/manifest.json").read_text())
         assert [it["n"] for it in manifest["iterations"]] == [0, 1, 2]
-        # the settings are stored once: in the kept run_config, raised to the run's iterations
-        assert manifest["imp_config"] is None
-        assert manifest["run_config"] == dict(recorded, imp=dict(recorded["imp"], max_iterations=2))
+        # the recorded dataset is kept, and max_iterations raised to the run's
+        for key in ("dims", "dataset", "data_sha256"):
+            assert manifest[key] == recorded[key]
+        assert manifest["imp_config"] == dict(recorded["imp_config"], max_iterations=2)
         assert main(["ablate", str(tmp_path / "run"), "--iteration", "2"]) == 0
         assert main(["imp", "--config", config]) == 0  # the CLI resumes what the library extended
         assert json.loads((tmp_path / "run/manifest.json").read_text()) == manifest
+
+    def test_cli_resume_of_a_library_run_rejected(self, tmp_path, capsys):
+        raw = base_config(tmp_path / "run")
+        raw["imp"]["max_iterations"] = 1
+        config = write_config(tmp_path / "c.json", raw)
+        cfg = load_run_config(config)
+        dims, imp_cfg = imp_settings(cfg)
+        run_imp(dims, *build_dataset(cfg), imp_cfg, tmp_path / "run")  # the same run, no dataset section
+        before = file_digests(tmp_path / "run")
+        assert main(["imp", "--config", config]) == 1
+        assert "different configuration" in capsys.readouterr().err
+        assert file_digests(tmp_path / "run") == before
+
+    def test_resume_on_overwritten_data_files_rejected(self, tmp_path, capsys):
+        images, labels = str(tmp_path / "a.idx"), str(tmp_path / "b.idx")
+        synth = base_config(tmp_path / "unused")
+        raw = base_config(tmp_path / "run")
+        raw["dataset"] = {"format": "idx", "paths": [images, labels], "n_val": 16}
+
+        def synth_with_seed(seed):
+            synth["dataset"]["seed"] = seed
+            config = write_config(tmp_path / f"synth{seed}.json", synth)
+            assert main(["synth", "--config", config, "--out-images", images, "--out-labels", labels]) == 0
+
+        def imp(max_iterations):
+            raw["imp"]["max_iterations"] = max_iterations
+            return main(["imp", "--config", write_config(tmp_path / f"imp{max_iterations}.json", raw)])
+
+        synth_with_seed(0)
+        assert imp(1) == 0
+        synth_with_seed(5)  # over the same paths
+        before = file_digests(tmp_path / "run")
+        capsys.readouterr()
+        assert imp(2) == 1
+        assert "the train split differs" in capsys.readouterr().err
+        assert file_digests(tmp_path / "run") == before
+
+    def test_resume_on_a_changed_mapping_file_rejected(self, tmp_path, capsys):
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(json.dumps({"n_macro": 2, "table": [0, 1]}))
+        raw = base_config(tmp_path / "run")
+        raw["dataset"].update(cluster_mode="semantic", mapping_path=str(mapping))
+        raw["imp"]["max_iterations"] = 1
+        assert main(["imp", "--config", write_config(tmp_path / "a.json", raw)]) == 0
+        mapping.write_text(json.dumps({"n_macro": 2, "table": [1, 0]}))  # the same path
+        before = file_digests(tmp_path / "run")
+        raw["imp"]["max_iterations"] = 2
+        assert main(["imp", "--config", write_config(tmp_path / "b.json", raw)]) == 1
+        assert "the train split differs" in capsys.readouterr().err
+        assert file_digests(tmp_path / "run") == before
 
     def test_non_square_idx_geometry_recorded(self, tmp_path, rng, capsys):
         # 8 x 2 pixels is 16 inputs, which the square rule reads as 4 x 4

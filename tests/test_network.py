@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
+import ticketsift
 from conftest import random_dataset
 from ticketsift.datasets import ImageGeometry
 from ticketsift.network import (
@@ -312,3 +318,13 @@ class TestParamSet:
     def test_mask_validation(self):
         with pytest.raises(ValueError):
             MaskSet([np.full((3, 3), 2, dtype=np.uint8)])
+
+
+def test_import_leaves_out_the_lane_executor():
+    # only ablate on two or more cores starts a lane thread
+    code = ("import sys, ticketsift, ticketsift.cli; "
+            "print(sorted({'concurrent.futures', 'logging', 'queue'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(ticketsift.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout == "[]\n"
