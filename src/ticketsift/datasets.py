@@ -11,8 +11,10 @@ All exporters in this package document the same layout.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,6 +27,20 @@ CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
 # generate_synthetic draws its noise, and the writers quantize, in row blocks of
 # about this many bytes, so each holds one block beside its full-size images.
 BLOCK_BYTES = 1 << 20
+
+
+def _write_whole(path, chunks) -> None:
+    """Write bytes-like chunks (bytes, or C-contiguous arrays), taken one at a
+    time, to path.tmp and rename it over path; on any exception remove path.tmp
+    and re-raise. No fsync: this guards against a killed process, not a power cut."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def _row_blocks(n: int, width: int) -> list:
@@ -189,9 +205,7 @@ def _save_idx_labels(path, labels: np.ndarray, n_classes: int) -> None:
     """Write labels, each < n_classes, as an IDX label file of single bytes."""
     if n_classes > 256:
         raise ValueError(f"IDX labels are single bytes; need n_classes <= 256, got {n_classes}")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.size))
-        f.write(labels.astype(np.uint8).tobytes())
+    _write_whole(path, [struct.pack(">II", IDX_LABEL_MAGIC, labels.size), labels.astype(np.uint8)])
 
 
 def save_idx(ds: ImageDataset, images_path, labels_path) -> None:
@@ -199,10 +213,8 @@ def save_idx(ds: ImageDataset, images_path, labels_path) -> None:
     if ds.geometry.channels != 1:
         raise ValueError("IDX export supports single-channel images only")
     _save_idx_labels(labels_path, ds.labels, ds.n_classes)
-    n, h, w = len(ds), ds.geometry.height, ds.geometry.width
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w))
-        f.writelines(pixels for _, pixels in _pixel_blocks(ds.images))
+    header = struct.pack(">IIII", IDX_IMAGE_MAGIC, len(ds), ds.geometry.height, ds.geometry.width)
+    _write_whole(images_path, itertools.chain([header], (pixels for _, pixels in _pixel_blocks(ds.images))))
 
 
 def load_cifar_binary(paths) -> ImageDataset:
@@ -259,9 +271,8 @@ def save_cifar_binary(ds: ImageDataset, path) -> None:
         raise ValueError("CIFAR export requires 32x32 RGB geometry")
     if ds.n_classes > 10:
         raise ValueError("CIFAR labels must be < 10")
-    with open(path, "wb") as f:
-        for rows, pixels in _pixel_blocks(ds.images):
-            f.write(np.concatenate([ds.labels[rows].astype(np.uint8)[:, None], pixels], axis=1))
+    _write_whole(path, (np.concatenate([ds.labels[rows].astype(np.uint8)[:, None], pixels], axis=1)
+                        for rows, pixels in _pixel_blocks(ds.images)))
 
 
 def generate_synthetic(
@@ -396,7 +407,7 @@ def cluster_cifar_batch(src, out, mode: str, mapping: ClassMapping | None = None
     if n_macro > 10:
         raise ValueError(f"CIFAR labels must be < 10; the mapping has {n_macro} macro classes")
     recs[:, 0] = labels
-    Path(out).write_bytes(recs)
+    _write_whole(out, [recs])
 
 
 def rotate_images(ds: ImageDataset, degrees: float) -> ImageDataset:

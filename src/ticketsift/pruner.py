@@ -189,26 +189,25 @@ def _bound_settings(settings: dict) -> dict:
     return json.loads(json.dumps(dict(settings, imp_config=imp_config, data_sha256=None)))
 
 
-def _recorded_settings(manifest: dict) -> dict:
+def _recorded_settings(manifest: dict, geometry: dict) -> dict:
     """The settings record of a manifest. Runs made before it was one record
     stored a CLI run's settings as run_config, alone or beside imp_config
     (which then holds the IMP settings), and a library run's with run_config
-    null; runs made before the data digests record none."""
+    null; older runs lack data_sha256 (None) and geometry (the given one)."""
     old = manifest.get("run_config")
     return {"dims": manifest["dims"],
             "imp_config": manifest.get("imp_config") or asdict(imp_settings(old)[1]),
             "dataset": manifest.get("dataset") or old and old["dataset"],
-            "data_sha256": manifest.get("data_sha256")}
+            "data_sha256": manifest.get("data_sha256"), "geometry": manifest.get("geometry") or geometry}
 
 
-def _write_run_manifest(run: ImpRun, geometry, settings: dict, created_at) -> None:
+def _write_run_manifest(run: ImpRun, settings: dict, created_at) -> None:
     data = {
         "format_version": reports.FORMAT_VERSION,
         "kind": "imp",
         "pixel_layout": reports.PIXEL_LAYOUT,
         "created_at": created_at,
         **settings,
-        "geometry": asdict(geometry),
         "rewind_file": "rewind.tkts",
         "val_file": "val.tkds",
         "stopped_reason": run.stopped_reason,
@@ -228,28 +227,33 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     interrupted run resumes from its last completed iteration (and a finished
     run can be extended by raising max_iterations). The manifest holds one
     settings record: dims, cfg as imp_config, run_config's dataset section
-    (null without one) and the SHA-256 of each split's data. A resume must
+    (null without one), the SHA-256 of each split's data and train_ds's
+    geometry, which val_ds must share with its class count. A resume must
     match it apart from max_iterations, of which it keeps the larger; a
     caller without run_config is held to the recorded dataset, and a run
     recorded before its digests compares val_ds with val.tkds. A mismatch, or
     settings that do not fit train_ds, raise ValueError before any byte is
     written. A given run_config must give dims and cfg under imp_settings.
-    The manifest also records train_ds's geometry and its first write's
-    created_at. Iteration 0, once the dense run has trained, stores val_ds in
-    val.tkds, which the analyses read, so a failed dense run leaves no file;
-    a resume writes it only for a run made before that file existed.
+    The manifest also records its first write's created_at. Iteration 0,
+    once the dense run has trained, stores val_ds in val.tkds, which the
+    analyses read, so a failed dense run leaves no file; a resume writes it
+    only for a run made before that file existed.
     """
     dims = check_dims(dims)
     if dims[0] != train_ds.geometry.input_size:
         raise ValueError(f"network input width {dims[0]} != image size {train_ds.geometry.input_size}")
     if dims[-1] != train_ds.n_classes:
         raise ValueError(f"network output width {dims[-1]} != {train_ds.n_classes} classes")
+    if (val_ds.geometry, val_ds.n_classes) != (train_ds.geometry, train_ds.n_classes):
+        raise ValueError(f"the val split holds {val_ds.n_classes} classes of {val_ds.geometry} images, "
+                         f"the train split {train_ds.n_classes} of {train_ds.geometry}")
     _prunable(cfg.layers_to_prune, len(dims) - 2)
     digests = {"train": _data_digest(train_ds), "val": _data_digest(val_ds)}
-    settings = {"dims": dims, "imp_config": asdict(cfg),
-                "dataset": run_config and run_config["dataset"], "data_sha256": digests}
+    settings = {"dims": dims, "imp_config": asdict(cfg), "dataset": run_config and run_config["dataset"],
+                "data_sha256": digests, "geometry": asdict(train_ds.geometry)}
     if run_config is not None:  # read as the manifests of CLI runs once stored it
-        given = _recorded_settings({"dims": run_config["network"]["dims"], "run_config": run_config})
+        given = _recorded_settings({"dims": run_config["network"]["dims"], "run_config": run_config},
+                                   settings["geometry"])
         if given != dict(settings, data_sha256=None):
             raise ValueError("run_config does not give these dims and IMP settings")
     run_dir = Path(run_dir)
@@ -261,7 +265,7 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
         manifest = reports.load_manifest(run_dir)
         if manifest.get("kind") != "imp":
             raise ValueError(f"{run_dir} does not hold a pruning run")
-        recorded = _recorded_settings(manifest)
+        recorded = _recorded_settings(manifest, settings["geometry"])
         if run_config is None:
             settings["dataset"] = recorded["dataset"]
         if _bound_settings(recorded) != _bound_settings(settings):
@@ -283,7 +287,7 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
         created_at = manifest["created_at"]
         if not manifest.get("val_file"):  # a run made before the split was stored
             reports.save_split(run_dir / "val.tkds", val_ds)
-        _write_run_manifest(run, train_ds.geometry, settings, created_at)
+        _write_run_manifest(run, settings, created_at)
         if run.stopped_reason == "node_fraction" or len(run.iterations) > cfg.max_iterations:
             return run
         params = reports.load_checkpoint(run_dir / run.iterations[-1].params_file)
@@ -295,7 +299,7 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
             masks = prune_step(params, run.iterations[-1].masks, cfg.prune_fraction, cfg.layers_to_prune)
             if stop_condition(masks, cfg.stop_node_fraction):
                 run.stopped_reason = "node_fraction"
-                _write_run_manifest(run, train_ds.geometry, settings, created_at)
+                _write_run_manifest(run, settings, created_at)
                 break
             start = rewind(params, run.rewind_ckpt, masks)
         # train reads rewind_step only under capture_rewind
@@ -315,6 +319,6 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
         reports.save_checkpoint(run_dir / it.params_file, params)
         reports.export_train_curve_csv(result.records, run_dir / it.curve_file)
         run.iterations.append(it)
-        _write_run_manifest(run, train_ds.geometry, settings, created_at)
+        _write_run_manifest(run, settings, created_at)
 
     return run

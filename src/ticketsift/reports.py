@@ -6,6 +6,11 @@ version. Checkpoints store float32 arrays row-major; mask files store each
 layer bit-packed LSB-first, padded to a byte boundary, with a per-layer
 surviving-weight count that is verified against the payload popcount on load;
 split files store a dataset's float32 images row-major, then its int64 labels.
+
+Every file the package writes goes through datasets._write_whole: it is
+written to NAME.tmp, then renamed over NAME, with no fsync. An interrupted
+write leaves NAME missing or with its earlier complete bytes; a killed one may
+also leave NAME.tmp, which the next write of NAME replaces.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import ImageDataset, ImageGeometry
+from .datasets import ImageDataset, ImageGeometry, _write_whole
 from .network import MaskSet, ParamSet, _size
 
 CHECKPOINT_MAGIC = b"TKTS"
@@ -93,9 +98,7 @@ def save_checkpoint(path, params: ParamSet) -> None:
     written from the array without a bytes copy."""
     dims = params.dims
     header = CHECKPOINT_MAGIC + struct.pack(f"<II{len(dims)}I", FORMAT_VERSION, len(dims) - 1, *dims)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(params._flat, dtype=np.float32))
+    _write_whole(path, [header, np.ascontiguousarray(params._flat, dtype=np.float32)])
 
 
 def load_checkpoint(path) -> ParamSet:
@@ -116,13 +119,11 @@ def save_masks(path, masks: MaskSet) -> None:
     for i, m in enumerate(masks.masks):
         if m.shape != (dims[i], dims[i + 1]):
             raise ValueError("mask shapes do not chain into consecutive layers")
-    parts = [MASK_MAGIC, struct.pack("<II", FORMAT_VERSION, len(masks.masks))]
-    parts.append(struct.pack(f"<{len(dims)}I", *dims))
+    parts = [MASK_MAGIC, struct.pack(f"<II{len(dims)}I", FORMAT_VERSION, len(masks.masks), *dims)]
     for m in masks.masks:
         flat = m.ravel()
-        parts.append(struct.pack("<Q", int(flat.sum(dtype=np.int64))))
-        parts.append(np.packbits(flat, bitorder="little").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+        parts += [struct.pack("<Q", int(flat.sum(dtype=np.int64))), np.packbits(flat, bitorder="little")]
+    _write_whole(path, parts)
 
 
 def load_masks(path) -> MaskSet:
@@ -154,10 +155,8 @@ def save_split(path, ds: ImageDataset) -> None:
     header = SPLIT_MAGIC + struct.pack(
         "<6I", FORMAT_VERSION, g.width, g.height, g.channels, len(ds), ds.n_classes
     )
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(ds.images, dtype="<f4"))
-        f.write(np.ascontiguousarray(ds.labels, dtype="<i8"))
+    _write_whole(path, [header, np.ascontiguousarray(ds.images, dtype="<f4"),
+                        np.ascontiguousarray(ds.labels, dtype="<i8")])
 
 
 def load_split(path) -> ImageDataset:
@@ -185,11 +184,8 @@ def _write_netpbm(path, byte_planes: np.ndarray) -> None:
     magic = b"P6" if c == 3 else b"P5"
     header = magic + b"\n# pixel layout: " + PIXEL_LAYOUT.encode() + b"\n"
     header += f"{w} {h}\n255\n".encode()
-    if c == 3:
-        payload = byte_planes.transpose(1, 2, 0).tobytes()  # interleave RGB per pixel
-    else:
-        payload = byte_planes[0].tobytes()
-    Path(path).write_bytes(header + payload)
+    pixels = byte_planes.transpose(1, 2, 0) if c == 3 else byte_planes[0]  # RGB interleaved per pixel
+    _write_whole(path, [header, np.ascontiguousarray(pixels)])
 
 
 def export_mask_image(row, geom, path) -> None:
@@ -331,7 +327,7 @@ def _write_count_grid(path, header: str, inner_keys, outer_keys, counts: np.ndar
     again per cell."""
     row = "".join([f"{k},@,%s\n" for k in inner_keys])
     body = "".join([row.replace("@", k) for k in outer_keys])
-    Path(path).write_text(header + "\n" + body % tuple(counts.tolist()))
+    _write_whole(path, [(header + "\n" + body % tuple(counts.tolist())).encode()])
 
 
 def _write_csv(path, header: str, rows) -> None:
@@ -341,15 +337,12 @@ def _write_csv(path, header: str, rows) -> None:
     n_fields = header.count(",") + 1
     line = ",".join(["%s"] * n_fields) + "\n"
     flat = tuple(itertools.chain.from_iterable(rows))
-    Path(path).write_text(header + "\n" + (line * (len(flat) // n_fields)) % flat)
+    _write_whole(path, [(header + "\n" + (line * (len(flat) // n_fields)) % flat).encode()])
 
 
 def write_manifest(run_dir, data: dict) -> None:
-    """Atomically write manifest.json describing a run directory."""
-    run_dir = Path(run_dir)
-    tmp = run_dir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(data, indent=2) + "\n")
-    tmp.replace(run_dir / "manifest.json")
+    """Write manifest.json describing a run directory."""
+    _write_whole(Path(run_dir) / "manifest.json", [(json.dumps(data, indent=2) + "\n").encode()])
 
 
 def load_manifest(run_dir) -> dict:

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import struct
 from dataclasses import asdict, replace
@@ -72,6 +73,20 @@ def as_earlier_manifest(run_dir, raw_imp):
                               "train": train, "imp": raw_imp, "output": {"run_dir": str(run_dir)}}
     del manifest["data_sha256"]
     path.write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+class FailingReplace:
+    """A stand-in for os.replace that records every destination and raises
+    OSError on its k-th call (k = 0: never)."""
+
+    def __init__(self, k=0):
+        self.k, self.targets, self.real = k, [], os.replace
+
+    def __call__(self, src, dst, **kw):
+        self.targets.append(Path(dst))
+        if len(self.targets) == self.k:
+            raise OSError(f"rename {self.k} failed")
+        self.real(src, dst, **kw)
 
 
 @pytest.fixture(scope="module")
@@ -1136,3 +1151,86 @@ class TestClusterCommand:
         assert main(["cluster", "--format", "idx", "--mode", "random",
                      "--out", str(tmp_path / "o.idx")]) == 1
         assert "labels" in capsys.readouterr().err
+
+
+def run_files(run_dir) -> dict:
+    """The bytes of every binary and CSV file of a run, and its manifest apart from created_at."""
+    run_dir = Path(run_dir)
+    files = {p.relative_to(run_dir): p.read_bytes() for p in sorted(run_dir.rglob("*"))
+             if p.suffix in (".tkms", ".tkts", ".tkds", ".csv")}
+    files["manifest.json"] = json.loads((run_dir / "manifest.json").read_text())
+    del files["manifest.json"]["created_at"]
+    return files
+
+
+# Every command that writes files: its command line, and where its outputs go.
+WRITING_COMMANDS = {
+    "conn": ("analyze {run} conn --iteration 1", "{run}/analysis"),
+    "locality": ("analyze {run} locality --iteration 1", "{run}/analysis"),
+    "locality-binned": ("analyze {run} locality-binned --iteration 1 --bin-edges 0,2", "{run}/analysis"),
+    "effmask": ("analyze {run} effmask --iteration 1 --layer 2", "{run}/analysis"),
+    "pixmap": ("analyze {run} pixmap --iteration 1", "{run}/analysis"),
+    "binomial": ("analyze {run} binomial --iteration 1", "{run}/analysis"),
+    "ablate": ("ablate {run} --iteration 1", "{run}/analysis"),
+    "export-masks": ("export-masks {run} --iteration 1 --top 2 --weighted", "{run}/analysis"),
+    "synth-idx": ("synth --config {gray} --out-images {out}/images.idx --out-labels {out}/labels.idx",
+                  "{out}"),
+    "synth-cifar": ("synth --config {rgb} --out-cifar {out}/batch.bin", "{out}"),
+    "cluster-idx": ("cluster --format idx --mode random --labels {data}/labels.idx --out {out}/labels.idx",
+                    "{out}"),
+    "cluster-cifar": ("cluster --format cifar --mode random --data {data}/batch.bin --out {out}/batch.bin",
+                      "{out}"),
+}
+
+
+class TestInterruptedWrites:
+    def test_imp_resumed_after_any_failed_rename_equals_a_one_shot_run(self, tmp_path, monkeypatch):
+        raw = base_config(tmp_path / "oneshot")
+        raw["imp"]["max_iterations"] = 3
+        renames = FailingReplace()
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", renames)
+            assert main(["imp", "--config", write_config(tmp_path / "oneshot.json", raw)]) == 0
+        each_iteration = ["iters/{:03d}/masks.tkms", "iters/{:03d}/params.tkts",
+                          "iters/{:03d}/train_curve.csv", "manifest.json", "imp_curve.csv"]
+        expected = ["val.tkds", "rewind.tkts"] + [name.format(n) for n in range(4) for name in each_iteration]
+        assert [str(t.relative_to(tmp_path / "oneshot")) for t in renames.targets] == expected
+        assert len(expected) == 22
+        oneshot = run_files(tmp_path / "oneshot")
+        for k in range(1, len(expected) + 1):
+            raw["output"]["run_dir"] = str(tmp_path / f"k{k:02d}")
+            config = write_config(tmp_path / f"k{k:02d}.json", raw)
+            with monkeypatch.context() as m:
+                m.setattr(os, "replace", FailingReplace(k))
+                assert main(["imp", "--config", config]) == 1, k
+            assert main(["imp", "--config", config]) == 0, k
+            assert run_files(tmp_path / f"k{k:02d}") == oneshot, k
+            assert not list((tmp_path / f"k{k:02d}").rglob("*.tmp")), k
+
+    @pytest.mark.parametrize("line,out", WRITING_COMMANDS.values(), ids=WRITING_COMMANDS)
+    def test_failed_rename_leaves_every_output_as_it_was(self, imp_run, tmp_path, monkeypatch, line, out):
+        run, data = tmp_path / "run", tmp_path / "data"
+        shutil.copytree(imp_run[0], run)
+        shutil.rmtree(run / "analysis", ignore_errors=True)
+        rgb = base_config(tmp_path / "unused")
+        rgb["dataset"]["synthetic"].update(width=32, height=32, channels=3, n_per_class=3)
+        data.mkdir()
+        (tmp_path / "out").mkdir()
+        save_idx(random_dataset(np.random.default_rng(0), ImageGeometry(4, 4, 1), 6, 2),
+                 data / "images.idx", data / "labels.idx")
+        (data / "batch.bin").write_bytes(bytes([3]) + bytes(range(256)) * 12 + bytes([14]) + bytes(3072))
+        names = {"run": run, "data": data, "out": tmp_path / "out",
+                 "gray": write_config(tmp_path / "gray.json", base_config(tmp_path / "unused")),
+                 "rgb": write_config(tmp_path / "rgb.json", rgb)}
+        argv, out = line.format(**names).split(), Path(out.format(**names))
+        renames = FailingReplace()
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", renames)
+            assert main(argv) == 0
+        first = file_digests(out)
+        assert sorted(renames.targets) == sorted(out / rel for rel in first)  # each output renamed once
+        for k in range(1, len(renames.targets) + 1):
+            with monkeypatch.context() as m:
+                m.setattr(os, "replace", FailingReplace(k))
+                assert main(argv) == 1, k
+            assert file_digests(out) == first, k  # the same bytes, and no temporary left

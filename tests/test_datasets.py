@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles
 from conftest import random_dataset, traced_peak
+from ticketsift import datasets
 from ticketsift.datasets import (
     BLOCK_BYTES,
     IDX_IMAGE_MAGIC,
@@ -174,6 +176,36 @@ class TestWriters:
         # one block's float32 temporary and its bytes (and records); quantizing
         # the whole array at once held two float32 temporaries, 2.0x
         assert peak <= 0.3 * ds.images.nbytes
+
+
+class TestWriteWhole:
+    def test_replaces_a_stale_temporary(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"earlier")
+        Path(f"{path}.tmp").write_bytes(bytes(range(256)) * 16)  # as a killed write leaves it
+        datasets._write_whole(path, [b"head", np.arange(3, dtype="<i4")])
+        assert path.read_bytes() == b"head" + np.arange(3, dtype="<i4").tobytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_an_interrupted_write_keeps_the_earlier_bytes(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"earlier")
+        interrupt = KeyboardInterrupt()
+
+        def chunks():
+            yield b"part of the new bytes"
+            raise interrupt
+
+        with pytest.raises(KeyboardInterrupt) as caught:
+            datasets._write_whole(path, chunks())
+        assert caught.value is interrupt
+        assert path.read_bytes() == b"earlier"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_a_missing_directory_leaves_nothing(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            datasets._write_whole(tmp_path / "absent/out.bin", [b"x"])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCifar:

@@ -478,6 +478,37 @@ class TestRunImp:
             run_imp(dims, ds, ds, tiny_imp_config(layers_to_prune=layers), tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("geom,n_classes,match", [
+        (ImageGeometry(8, 2, 1), 2, r"holds 2 classes of ImageGeometry\(width=8"),
+        (GEOM, 3, "holds 3 classes"),
+    ], ids=["geometry", "classes"])
+    def test_validation_split_unlike_the_training_one_rejected(self, rng, tmp_path, geom,
+                                                               n_classes, match):
+        ds = self.make_data(rng)
+        val = random_dataset(rng, geom, 10, n_classes)  # the same input size
+        before = file_digests(tmp_path)
+        with pytest.raises(ValueError, match=match):
+            run_imp(DIMS, ds, val, tiny_imp_config(), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+        assert file_digests(tmp_path) == before
+
+    def test_resume_under_another_geometry_rejected(self, rng, tmp_path):
+        ds = self.make_data(rng)
+        run_imp(DIMS, ds, ds, tiny_imp_config(max_iterations=1), tmp_path / "run")
+        before = file_digests(tmp_path / "run")
+        wide = replace(ds, geometry=ImageGeometry(8, 2, 1))  # the same arrays, so the same digests
+        with pytest.raises(ValueError, match="different configuration"):
+            run_imp(DIMS, wide, wide, tiny_imp_config(), tmp_path / "run")
+        assert file_digests(tmp_path / "run") == before
+
+    def test_manifest_keys_in_order(self, rng, tmp_path):
+        ds = self.make_data(rng)
+        run_imp(DIMS, ds, ds, tiny_imp_config(max_iterations=0), tmp_path / "run")
+        manifest = json.loads((tmp_path / "run/manifest.json").read_text())
+        assert list(manifest) == ["format_version", "kind", "pixel_layout", "created_at", "dims",
+                                  "imp_config", "dataset", "data_sha256", "geometry", "rewind_file",
+                                  "val_file", "stopped_reason", "iterations"]
+
     def test_manifest_records_imp_config(self, rng, tmp_path):
         ds = self.make_data(rng)
         cfg = tiny_imp_config(max_iterations=0)
