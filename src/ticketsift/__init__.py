@@ -17,7 +17,6 @@ from .datasets import (
 )
 from .network import (
     MaskSet,
-    ParamGrads,
     ParamSet,
     accuracy,
     forward,

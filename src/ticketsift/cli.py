@@ -395,10 +395,8 @@ def cmd_export_masks(args) -> int:
         base = out_dir / f"iter{args.iteration:03d}_mask_l{args.layer}_rank{rank:02d}_node{node:04d}"
         reports.export_mask_image(matrix[:, node], geom, f"{base}.{ext}")
         if weights is not None:
-            reports.export_weighted_mask_image(
-                weights[:, node] * matrix[:, node], geom,
-                f"{base}_weighted.{ext}", mask_row=matrix[:, node],
-            )
+            reports.export_weighted_mask_image(weights[:, node], geom, f"{base}_weighted.{ext}",
+                                               matrix[:, node])
     print(f"wrote {len(ranked)} mask images to {out_dir}")
     return 0
 

@@ -201,20 +201,22 @@ def load_idx(images_path, labels_path) -> ImageDataset:
     return ImageDataset(geom, images, labels, n_classes=int(labels.max()) + 1)
 
 
-def _save_idx_labels(path, labels: np.ndarray, n_classes: int) -> None:
-    """Write labels, each < n_classes, as an IDX label file of single bytes."""
+def _idx_label_chunks(labels: np.ndarray, n_classes: int) -> list:
+    """The chunks of an IDX label file of labels, each < n_classes, as single bytes."""
     if n_classes > 256:
         raise ValueError(f"IDX labels are single bytes; need n_classes <= 256, got {n_classes}")
-    _write_whole(path, [struct.pack(">II", IDX_LABEL_MAGIC, labels.size), labels.astype(np.uint8)])
+    return [struct.pack(">II", IDX_LABEL_MAGIC, labels.size), labels.astype(np.uint8)]
 
 
 def save_idx(ds: ImageDataset, images_path, labels_path) -> None:
-    """Write a single-channel dataset as an IDX image/label pair."""
+    """Write a single-channel dataset as an IDX image/label pair, the images
+    first, so a failed image write leaves both earlier files as they were."""
     if ds.geometry.channels != 1:
         raise ValueError("IDX export supports single-channel images only")
-    _save_idx_labels(labels_path, ds.labels, ds.n_classes)
+    label_chunks = _idx_label_chunks(ds.labels, ds.n_classes)
     header = struct.pack(">IIII", IDX_IMAGE_MAGIC, len(ds), ds.geometry.height, ds.geometry.width)
     _write_whole(images_path, itertools.chain([header], (pixels for _, pixels in _pixel_blocks(ds.images))))
+    _write_whole(labels_path, label_chunks)
 
 
 def load_cifar_binary(paths) -> ImageDataset:
@@ -226,8 +228,6 @@ def load_cifar_binary(paths) -> ImageDataset:
     are scaled straight into their own rows, so only one file's bytes are
     held beside the result.
     """
-    if isinstance(paths, (str, Path)):
-        paths = [paths]
     if not paths:
         raise ValueError("no CIFAR batch files given")
     counts = [_cifar_record_count(path) for path in paths]
@@ -396,7 +396,7 @@ def cluster_idx_labels(src, out, mode: str, mapping: ClassMapping | None = None)
     """Write the labels of IDX label file src, coarsened as by cluster_classes, to out.
     Every refusal comes before out is opened."""
     labels = _read_idx(src, IDX_LABEL_MAGIC, 1).astype(np.int64)
-    _save_idx_labels(out, *_cluster_labels(labels, mode, mapping))
+    _write_whole(out, _idx_label_chunks(*_cluster_labels(labels, mode, mapping)))
 
 
 def cluster_cifar_batch(src, out, mode: str, mapping: ClassMapping | None = None) -> None:

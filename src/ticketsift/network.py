@@ -30,6 +30,7 @@ import numpy as np
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9  # running = momentum * running + (1 - momentum) * batch
+_EVAL_ROWS = 1000  # eval-mode passes run over chunks of this many images
 _GROUPS = ("weights", "biases", "gamma", "beta", "running_mean", "running_var")
 
 
@@ -54,6 +55,7 @@ class ParamSet:
     for hidden layers only (len(weights) - 1 entries). Every array is a view
     into one contiguous buffer of the arrays' common dtype, laid out in .tkts
     order: write into the arrays (``w[...] = x``), never replace an entry.
+    Gradients and Adam moments are ParamSets whose running-statistic slots hold 0.
     """
 
     def __init__(self, dims, flat: np.ndarray):
@@ -85,11 +87,6 @@ class ParamSet:
         return type(self)(self.dims, self._flat.copy())
 
 
-class ParamGrads(ParamSet):
-    """Gradients of the trainable fields of a ParamSet, in the ParamSet buffer
-    layout; the running-statistic slots hold zeros."""
-
-
 @dataclass
 class MaskSet:
     """Binary gates for every weight matrix except the output layer's."""
@@ -113,12 +110,12 @@ class MaskSet:
         return MaskSet([m.copy() for m in self.masks])
 
 
-def init_params(dims, seed, dtype=np.float32) -> ParamSet:
-    """Gaussian weights with variance 2 / (fan_in + fan_out); biases zero;
-    batch-norm scale 1, shift 0, running mean 0, running variance 1."""
+def init_params(dims, seed) -> ParamSet:
+    """float32 Gaussian weights with variance 2 / (fan_in + fan_out); biases
+    zero; batch-norm scale 1, shift 0, running mean 0, running variance 1."""
     dims = check_dims(dims)
     rng = np.random.default_rng(seed)
-    params = ParamSet._zeros(dims, dtype)
+    params = ParamSet._zeros(dims, np.float32)
     for w in params.weights:
         w[...] = rng.normal(0.0, np.sqrt(2.0 / sum(w.shape)), size=w.shape)
     for v in params.gamma + params.running_var:
@@ -220,7 +217,7 @@ def loss_and_grads(params: ParamSet, masks: MaskSet, batch: np.ndarray, labels: 
     """
     batch = np.asarray(batch)
     _check_net(params, masks, batch, "train")
-    grads = ParamGrads._zeros(params.dims, np.result_type(params._flat, batch))
+    grads = ParamSet._zeros(params.dims, np.result_type(params._flat, batch))
     return _loss_and_grads(params, masks.masks, _masked_weights(params, masks), batch, labels, grads)
 
 
@@ -270,26 +267,26 @@ def _loss_and_grads(params: ParamSet, gates: list, weights: list, batch, labels,
     return loss, grads
 
 
-def accuracy(params: ParamSet, masks: MaskSet, ds, batch_size: int = 1000) -> float:
+def accuracy(params: ParamSet, masks: MaskSet, ds) -> float:
     """Eval-mode classification accuracy; argmax ties go to the lowest index."""
     _check_net(params, masks, ds.images)
-    return _accuracy(params, _masked_weights(params, masks), ds, batch_size)
+    return _accuracy(params, _masked_weights(params, masks), ds)
 
 
-def _accuracy(params: ParamSet, weights: list, ds, batch_size: int = 1000) -> float:
+def _accuracy(params: ParamSet, weights: list, ds) -> float:
     """``accuracy``'s arithmetic on effective weights (see ``_forward``)."""
     correct = 0
-    for chunk in _eval_chunks(ds, batch_size):
+    for chunk in _eval_chunks(ds):
         logits, _ = _forward(params, weights, ds.images[chunk], "eval")
         correct += int((np.argmax(logits, axis=1) == ds.labels[chunk]).sum())
     return correct / len(ds)
 
 
-def _eval_chunks(ds, batch_size: int = 1000) -> list:
-    """The slices eval-mode passes over ds run in."""
+def _eval_chunks(ds) -> list:
+    """The slices of _EVAL_ROWS images that eval-mode passes over ds run in."""
     if len(ds) == 0:
         raise ValueError("cannot evaluate accuracy on an empty dataset")
-    return [slice(s, min(s + batch_size, len(ds))) for s in range(0, len(ds), batch_size)]
+    return [slice(s, min(s + _EVAL_ROWS, len(ds))) for s in range(0, len(ds), _EVAL_ROWS)]
 
 
 def _lanes(n_tasks: int) -> int:

@@ -122,7 +122,7 @@ def rewind(params: ParamSet, ckpt: Checkpoint, masks: MaskSet) -> ParamSet:
     return ckpt.params.copy()
 
 
-def stop_condition(masks: MaskSet, threshold: float = 0.8) -> bool:
+def stop_condition(masks: MaskSet, threshold: float) -> bool:
     """True iff in any layer more than ``threshold`` of the nodes have no
     surviving incoming weight."""
     for m in masks.masks:
@@ -202,6 +202,11 @@ def _recorded_settings(manifest: dict, geometry: dict) -> dict:
 
 
 def _write_run_manifest(run: ImpRun, settings: dict, created_at) -> None:
+    """Write imp_curve.csv, then manifest.json, so the manifest names no
+    iteration that the curve lacks."""
+    reports.export_imp_curve_csv(
+        [(it.n, it.u_global, it.best_val) for it in run.iterations], run.run_dir / "imp_curve.csv"
+    )
     data = {
         "format_version": reports.FORMAT_VERSION,
         "kind": "imp",
@@ -214,9 +219,6 @@ def _write_run_manifest(run: ImpRun, settings: dict, created_at) -> None:
         "iterations": [{k: v for k, v in vars(it).items() if k != "masks"} for it in run.iterations],
     }
     reports.write_manifest(run.run_dir, data)
-    reports.export_imp_curve_csv(
-        [(it.n, it.u_global, it.best_val) for it in run.iterations], run.run_dir / "imp_curve.csv"
-    )
 
 
 def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) -> ImpRun:
@@ -251,11 +253,8 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     digests = {"train": _data_digest(train_ds), "val": _data_digest(val_ds)}
     settings = {"dims": dims, "imp_config": asdict(cfg), "dataset": run_config and run_config["dataset"],
                 "data_sha256": digests, "geometry": asdict(train_ds.geometry)}
-    if run_config is not None:  # read as the manifests of CLI runs once stored it
-        given = _recorded_settings({"dims": run_config["network"]["dims"], "run_config": run_config},
-                                   settings["geometry"])
-        if given != dict(settings, data_sha256=None):
-            raise ValueError("run_config does not give these dims and IMP settings")
+    if run_config is not None and imp_settings(run_config) != (dims, cfg):
+        raise ValueError("run_config does not give these dims and IMP settings")
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     master = cfg.train_cfg.seed

@@ -10,7 +10,9 @@ split files store a dataset's float32 images row-major, then its int64 labels.
 Every file the package writes goes through datasets._write_whole: it is
 written to NAME.tmp, then renamed over NAME, with no fsync. An interrupted
 write leaves NAME missing or with its earlier complete bytes; a killed one may
-also leave NAME.tmp, which the next write of NAME replaces.
+also leave NAME.tmp, which the next write of NAME replaces. Each IMP round
+writes its files and imp_curve.csv before manifest.json, so the manifest never
+names an incomplete iteration.
 """
 
 from __future__ import annotations
@@ -200,19 +202,15 @@ def export_mask_image(row, geom, path) -> None:
     _write_scaled_counts(path, planes)  # peak 1 -> 255; an all-zero row stays 0
 
 
-def export_weighted_mask_image(values, geom, path, mask_row=None) -> None:
-    """Netpbm of a weight-times-mask row, affinely mapped min -> 0, max -> 255.
+def export_weighted_mask_image(values, geom, path, mask_row) -> None:
+    """Netpbm of a weight row under its mask row, affinely mapped min -> 0, max -> 255.
 
-    The affine map is fitted over surviving entries (mask_row == 1, or the
-    nonzero entries when mask_row is omitted); pruned entries get the byte the
-    map assigns to 0, clipped to [0, 255]. A constant surviving value maps
-    everything to 128.
+    The affine map is fitted over surviving entries (mask_row != 0); pruned
+    entries get the byte the map assigns to 0, clipped to [0, 255], whatever
+    their value. A constant surviving value maps everything to 128.
     """
     planes = _image_planes(values, geom).astype(np.float64)
-    if mask_row is None:
-        surviving = planes != 0
-    else:
-        surviving = _image_planes(mask_row, geom) != 0
+    surviving = _image_planes(mask_row, geom) != 0
     if not surviving.any():
         _write_netpbm(path, np.full(planes.shape, 128, dtype=np.uint8))
         return

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import ImageDataset, translate_wrap_each
-from .network import MaskSet, ParamGrads, ParamSet, _accuracy, _check_net, _loss_and_grads
+from .network import MaskSet, ParamSet, _accuracy, _check_net, _loss_and_grads
 
 
 @dataclass
@@ -80,7 +80,7 @@ class TrainingDiverged(RuntimeError):
         self.loss = loss
 
 
-def sgd_step(params: ParamSet, grads: ParamGrads, lr: float) -> ParamSet:
+def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:
     """In-place w <- w - lr * g on every trainable array; returns params."""
     params._flat -= lr * grads._flat  # running-statistic slots of grads are 0
     return params
@@ -89,13 +89,13 @@ def sgd_step(params: ParamSet, grads: ParamGrads, lr: float) -> ParamSet:
 @dataclass
 class AdamState:
     t: int = 0
-    m: ParamGrads | None = None
-    v: ParamGrads | None = None
+    m: ParamSet | None = None
+    v: ParamSet | None = None
 
 
 def adam_step(
     params: ParamSet,
-    grads: ParamGrads,
+    grads: ParamSet,
     lr: float,
     state: AdamState,
     beta1: float = 0.9,
@@ -108,8 +108,8 @@ def adam_step(
     moments stay identically zero and they do not move.
     """
     if state.m is None:
-        state.m = ParamGrads._zeros(params.dims, params._flat.dtype)
-        state.v = ParamGrads._zeros(params.dims, params._flat.dtype)
+        state.m = ParamSet._zeros(params.dims, params._flat.dtype)
+        state.v = ParamSet._zeros(params.dims, params._flat.dtype)
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
@@ -146,7 +146,7 @@ def train(
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     augment_rng = np.random.default_rng([cfg.seed, 2])
     geom = train_ds.geometry
-    grads = ParamGrads._zeros(p.dims, np.result_type(p._flat, train_ds.images))  # rewritten every step
+    grads = ParamSet._zeros(p.dims, np.result_type(p._flat, train_ds.images))  # rewritten every step
     gates = [m.astype(grads._flat.dtype) for m in masks.masks]  # masks the gradient without a cast
     adam = AdamState() if cfg.optimizer == "adam" else None
     rewind = Checkpoint(0, p.copy()) if capture_rewind and cfg.rewind_step == 0 else None

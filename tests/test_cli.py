@@ -12,9 +12,12 @@ from ticketsift import cli
 from ticketsift.cli import build_dataset, build_parser, load_run_config, main
 from ticketsift.datasets import (
     ImageGeometry,
+    cluster_classes,
     generate_synthetic,
     load_cifar_binary,
     load_idx,
+    rotate_images,
+    save_cifar_binary,
     save_idx,
     split_train_val,
     subsample,
@@ -339,6 +342,30 @@ class TestBuildDataset:
         if fraction != 1.0:
             full = subsample(full, fraction, 3)
         for part, want in zip((train_ds, val_ds), split_train_val(full, 150, 3)):
+            assert part.images.tobytes() == want.images.tobytes()
+            assert part.labels.tobytes() == want.labels.tobytes()
+
+    def test_random_clusters_then_rotates_then_subsamples(self, tmp_path):
+        raw = base_config(tmp_path / "r")
+        raw["dataset"].update(cluster_mode="random", rotate_degrees=90, fraction=0.5, n_val=8)
+        parts = build_dataset(load_run_config(write_config(tmp_path / "c.json", raw)))
+        full = generate_synthetic(ImageGeometry(4, 4, 1), 24, (1, 1, 2, 2), 2, 0.25, 0)
+        wants = split_train_val(subsample(rotate_images(cluster_classes(full, "random"), 90), 0.5, 0), 8, 0)
+        for part, want in zip(parts, wants):
+            assert part.n_classes == want.n_classes == 10
+            assert part.images.tobytes() == want.images.tobytes()
+            assert part.labels.tobytes() == want.labels.tobytes()
+
+    def test_cifar_format_reads_every_batch(self, tmp_path, rng):
+        batches = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for path, n in zip(batches, (5, 7)):
+            save_cifar_binary(random_dataset(rng, ImageGeometry(32, 32, 3), n, 10), path)
+        raw = base_config(tmp_path / "r")
+        raw["dataset"] = {"format": "cifar", "paths": [str(p) for p in batches], "n_val": 4, "seed": 2}
+        raw["network"]["dims"] = [3072, 8, 10]
+        parts = build_dataset(load_run_config(write_config(tmp_path / "c.json", raw)))
+        for part, want in zip(parts, split_train_val(load_cifar_binary(batches), 4, 2)):
+            assert part.n_classes == want.n_classes == 10
             assert part.images.tobytes() == want.images.tobytes()
             assert part.labels.tobytes() == want.labels.tobytes()
 
@@ -1163,6 +1190,17 @@ def run_files(run_dir) -> dict:
     return files
 
 
+def uncurved_iterations(run_dir) -> set:
+    """The iterations manifest.json lists (none if it is missing) that imp_curve.csv has no row for."""
+    run_dir = Path(run_dir)
+    if not (run_dir / "manifest.json").is_file():
+        return set()
+    listed = {it["n"] for it in json.loads((run_dir / "manifest.json").read_text())["iterations"]}
+    curve = run_dir / "imp_curve.csv"
+    rows = curve.read_text().splitlines()[1:] if curve.is_file() else []
+    return listed - {int(row.split(",")[0]) for row in rows}
+
+
 # Every command that writes files: its command line, and where its outputs go.
 WRITING_COMMANDS = {
     "conn": ("analyze {run} conn --iteration 1", "{run}/analysis"),
@@ -1192,7 +1230,7 @@ class TestInterruptedWrites:
             m.setattr(os, "replace", renames)
             assert main(["imp", "--config", write_config(tmp_path / "oneshot.json", raw)]) == 0
         each_iteration = ["iters/{:03d}/masks.tkms", "iters/{:03d}/params.tkts",
-                          "iters/{:03d}/train_curve.csv", "manifest.json", "imp_curve.csv"]
+                          "iters/{:03d}/train_curve.csv", "imp_curve.csv", "manifest.json"]
         expected = ["val.tkds", "rewind.tkts"] + [name.format(n) for n in range(4) for name in each_iteration]
         assert [str(t.relative_to(tmp_path / "oneshot")) for t in renames.targets] == expected
         assert len(expected) == 22
@@ -1203,6 +1241,7 @@ class TestInterruptedWrites:
             with monkeypatch.context() as m:
                 m.setattr(os, "replace", FailingReplace(k))
                 assert main(["imp", "--config", config]) == 1, k
+            assert uncurved_iterations(tmp_path / f"k{k:02d}") == set(), k
             assert main(["imp", "--config", config]) == 0, k
             assert run_files(tmp_path / f"k{k:02d}") == oneshot, k
             assert not list((tmp_path / f"k{k:02d}").rglob("*.tmp")), k

@@ -161,6 +161,30 @@ class TestWriters:
         recs = np.concatenate([ds.labels.astype(np.uint8)[:, None], oracles.quantize_whole(ds.images)], axis=1)
         assert (tmp_path / "b.bin").read_bytes() == recs.tobytes()
 
+    def test_idx_pair_kept_when_the_image_write_fails(self, tmp_path, monkeypatch):
+        paths = tmp_path / "i.idx", tmp_path / "l.idx"
+        geom = ImageGeometry(4, 4, 1)
+        old, new = (generate_synthetic(geom, 6, (1, 1, 2, 2), 3, 0.25, seed) for seed in (0, 5))
+        assert (old.labels != new.labels).any()
+        save_idx(old, *paths)
+        earlier = [p.read_bytes() for p in paths]
+
+        def refuse(images):
+            raise OSError("pixel write refused")
+            yield
+
+        monkeypatch.setattr(datasets, "_pixel_blocks", refuse)
+        with pytest.raises(OSError, match="pixel write refused"):
+            save_idx(new, *paths)
+        assert [p.read_bytes() for p in paths] == earlier
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["i.idx", "l.idx"]
+
+    def test_idx_labels_beyond_a_byte_refused_before_any_write(self, tmp_path, rng):
+        ds = random_dataset(rng, ImageGeometry(2, 2, 1), 3, 300)
+        with pytest.raises(ValueError, match="n_classes <= 256, got 300"):
+            save_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx")
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_cifar_batch(self, tmp_path):
         empty = ImageDataset(ImageGeometry(32, 32, 3), np.zeros((0, 3072)), np.zeros(0), 10)
         save_cifar_binary(empty, tmp_path / "b.bin")

@@ -294,7 +294,7 @@ class TestWeightedMaskImage:
     def test_affine_endpoints(self, tmp_path):
         geom = ImageGeometry(2, 1, 1)
         path = tmp_path / "w.pgm"
-        export_weighted_mask_image(np.array([-1.0, 1.0]), geom, path)
+        export_weighted_mask_image(np.array([-1.0, 1.0]), geom, path, mask_row=np.array([1, 1]))
         _, _, _, payload = parse_netpbm(path)
         assert payload == bytes([0, 255])
 
@@ -319,14 +319,14 @@ class TestWeightedMaskImage:
     def test_constant_value_maps_to_midgray(self, tmp_path):
         geom = ImageGeometry(2, 1, 1)
         path = tmp_path / "w.pgm"
-        export_weighted_mask_image(np.array([2.0, 2.0]), geom, path)
+        export_weighted_mask_image(np.array([2.0, 2.0]), geom, path, mask_row=np.array([1, 1]))
         _, _, _, payload = parse_netpbm(path)
         assert payload == bytes([128, 128])
 
     def test_all_pruned_maps_to_midgray(self, tmp_path):
         geom = ImageGeometry(2, 1, 1)
         path = tmp_path / "w.pgm"
-        export_weighted_mask_image(np.array([0.0, 0.0]), geom, path)
+        export_weighted_mask_image(np.array([0.0, 0.0]), geom, path, mask_row=np.array([0, 0]))
         _, _, _, payload = parse_netpbm(path)
         assert payload == bytes([128, 128])
 

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ticketsift.datasets import ImageGeometry, generate_synthetic, split_train_val
-from ticketsift.network import MaskSet, ParamGrads, accuracy, init_params, loss_and_grads
+from ticketsift.network import MaskSet, ParamSet, accuracy, init_params, loss_and_grads
 from ticketsift.trainer import (
     AdamState,
     TrainConfig,
@@ -21,7 +21,7 @@ GEOM = ImageGeometry(4, 4, 1)
 
 
 def ones_grads(params):
-    g = ParamGrads(params.dims, np.zeros_like(params._flat))
+    g = ParamSet(params.dims, np.zeros_like(params._flat))
     for group in (g.weights, g.biases, g.gamma, g.beta):
         for arr in group:
             arr[...] = 1
