@@ -219,6 +219,7 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     run_dir = Path(cfg["output"]["run_dir"])
     if (run_dir / "manifest.json").is_file():
+        reports.load_manifest(run_dir)  # a manifest of another shape is refused as such
         raise ValueError(f"{run_dir} already holds a run; train writes only to a new directory")
     # the dense run is iteration 0 of the configured IMP run, with no pruning rounds
     cfg["imp"] = {**_section(imp_settings(cfg)[1], "train_cfg"), "max_iterations": 0}
@@ -257,19 +258,6 @@ def _layer_chain(masks: MaskSet, layer: int, lowest: int = 1) -> list:
     return masks.masks[:layer]
 
 
-def _recorded(manifest: dict, key: str):
-    """A manifest value the analyses read, which runs made before it was
-    recorded lack until imp brings them up to date."""
-    if not manifest.get(key):
-        raise ValueError(f"manifest records no {key}; run imp with the run's config again "
-                         "to bring the run directory up to date")
-    return manifest[key]
-
-
-def _manifest_geometry(manifest: dict) -> ImageGeometry:
-    return ImageGeometry(**_recorded(manifest, "geometry"))
-
-
 def _netpbm_ext(geom: ImageGeometry) -> str:  # reports writes RGB as P6, else P5
     return "ppm" if geom.channels == 3 else "pgm"
 
@@ -291,7 +279,7 @@ def _int_list(flag: str, text: str) -> list:
 def cmd_analyze(args) -> int:
     run_dir, manifest, entry, masks = _open_iteration(args)
     obs = args.observable
-    geom = _manifest_geometry(manifest) if obs in ("locality", "locality-binned", "pixmap") else None
+    geom = ImageGeometry(**manifest["geometry"])
     stem = f"iter{args.iteration:03d}"
 
     if obs == "conn":
@@ -345,9 +333,9 @@ def cmd_analyze(args) -> int:
 
 def _validation_split(run_dir: Path, manifest: dict):
     """The validation split the run evaluated on, as its stored file."""
-    val_file = _recorded(manifest, "val_file")
+    val_file = manifest["val_file"]
     val_ds = reports.load_split(run_dir / val_file)
-    geom = _manifest_geometry(manifest)
+    geom = ImageGeometry(**manifest["geometry"])
     if val_ds.geometry != geom:
         raise ValueError(f"{val_file} holds {val_ds.geometry} images, the run {geom}")
     if val_ds.n_classes != manifest["dims"][-1]:
@@ -378,7 +366,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_export_masks(args) -> int:
     run_dir, manifest, entry, masks = _open_iteration(args)
-    geom = _manifest_geometry(manifest)
+    geom = ImageGeometry(**manifest["geometry"])
     matrix = effective_masks(_layer_chain(masks, args.layer))
     if args.weighted and args.layer != 1:
         raise ValueError("weighted export is only defined for layer 1")

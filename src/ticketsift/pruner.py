@@ -189,18 +189,6 @@ def _bound_settings(settings: dict) -> dict:
     return json.loads(json.dumps(dict(settings, imp_config=imp_config, data_sha256=None)))
 
 
-def _recorded_settings(manifest: dict, geometry: dict) -> dict:
-    """The settings record of a manifest. Runs made before it was one record
-    stored a CLI run's settings as run_config, alone or beside imp_config
-    (which then holds the IMP settings), and a library run's with run_config
-    null; older runs lack data_sha256 (None) and geometry (the given one)."""
-    old = manifest.get("run_config")
-    return {"dims": manifest["dims"],
-            "imp_config": manifest.get("imp_config") or asdict(imp_settings(old)[1]),
-            "dataset": manifest.get("dataset") or old and old["dataset"],
-            "data_sha256": manifest.get("data_sha256"), "geometry": manifest.get("geometry") or geometry}
-
-
 def _write_run_manifest(run: ImpRun, settings: dict, created_at) -> None:
     """Write imp_curve.csv, then manifest.json, so the manifest names no
     iteration that the curve lacks."""
@@ -208,7 +196,7 @@ def _write_run_manifest(run: ImpRun, settings: dict, created_at) -> None:
         [(it.n, it.u_global, it.best_val) for it in run.iterations], run.run_dir / "imp_curve.csv"
     )
     data = {
-        "format_version": reports.FORMAT_VERSION,
+        "manifest_version": reports.MANIFEST_VERSION,
         "kind": "imp",
         "pixel_layout": reports.PIXEL_LAYOUT,
         "created_at": created_at,
@@ -232,14 +220,13 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
     (null without one), the SHA-256 of each split's data and train_ds's
     geometry, which val_ds must share with its class count. A resume must
     match it apart from max_iterations, of which it keeps the larger; a
-    caller without run_config is held to the recorded dataset, and a run
-    recorded before its digests compares val_ds with val.tkds. A mismatch, or
-    settings that do not fit train_ds, raise ValueError before any byte is
-    written. A given run_config must give dims and cfg under imp_settings.
-    The manifest also records its first write's created_at. Iteration 0,
-    once the dense run has trained, stores val_ds in val.tkds, which the
-    analyses read, so a failed dense run leaves no file; a resume writes it
-    only for a run made before that file existed.
+    caller without run_config is held to the recorded dataset. A mismatch, a
+    manifest that reports.load_manifest refuses, or settings that do not fit
+    train_ds raise ValueError before any byte is written. A given run_config
+    must give dims and cfg under imp_settings. The manifest also records its
+    first write's created_at. Iteration 0, once the dense run has trained,
+    stores val_ds in val.tkds, which the analyses read, so a failed dense run
+    leaves no file.
     """
     dims = check_dims(dims)
     if dims[0] != train_ds.geometry.input_size:
@@ -262,30 +249,23 @@ def run_imp(dims, train_ds, val_ds, cfg: ImpConfig, run_dir, run_config=None) ->
 
     if (run_dir / "manifest.json").is_file():
         manifest = reports.load_manifest(run_dir)
-        if manifest.get("kind") != "imp":
-            raise ValueError(f"{run_dir} does not hold a pruning run")
-        recorded = _recorded_settings(manifest, settings["geometry"])
+        recorded = {key: manifest[key] for key in settings}
         if run_config is None:
             settings["dataset"] = recorded["dataset"]
         if _bound_settings(recorded) != _bound_settings(settings):
             raise ValueError(f"existing run in {run_dir} was produced by a different configuration")
-        recorded_digests = recorded["data_sha256"]
-        if recorded_digests is None and manifest.get("val_file"):
-            recorded_digests = {"val": _data_digest(reports.load_split(run_dir / manifest["val_file"]))}
-        for split, digest in (recorded_digests or {}).items():
+        for split, digest in recorded["data_sha256"].items():
             if digest != digests[split]:
                 raise ValueError(f"the {split} split differs from the one the run in {run_dir} was made with")
         run.iterations = [ImpIteration(masks=reports.load_masks(run_dir / entry["mask_file"]), **entry)
                           for entry in manifest["iterations"]]
         rewind_params = reports.load_checkpoint(run_dir / manifest["rewind_file"])
         run.rewind_ckpt = Checkpoint(cfg.rewind_step, rewind_params)
-        run.stopped_reason = manifest.get("stopped_reason", "")
+        run.stopped_reason = manifest["stopped_reason"]
         # a lower rerun changes no byte
         settings["imp_config"]["max_iterations"] = max(cfg.max_iterations,
                                                        recorded["imp_config"]["max_iterations"])
         created_at = manifest["created_at"]
-        if not manifest.get("val_file"):  # a run made before the split was stored
-            reports.save_split(run_dir / "val.tkds", val_ds)
         _write_run_manifest(run, settings, created_at)
         if run.stopped_reason == "node_fraction" or len(run.iterations) > cfg.max_iterations:
             return run

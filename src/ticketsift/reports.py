@@ -13,6 +13,10 @@ write leaves NAME missing or with its earlier complete bytes; a killed one may
 also leave NAME.tmp, which the next write of NAME replaces. Each IMP round
 writes its files and imp_curve.csv before manifest.json, so the manifest never
 names an incomplete iteration.
+
+A manifest has one shape, manifest_version MANIFEST_VERSION with the keys
+MANIFEST_KEYS; load_manifest refuses any other, such as an earlier version's,
+whose binary files stay readable here.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ MASK_MAGIC = b"TKMS"
 SPLIT_MAGIC = b"TKDS"
 FORMAT_VERSION = 1
 PIXEL_LAYOUT = "index = c*H*W + y*W + x"
+MANIFEST_VERSION = 1
+MANIFEST_KEYS = ("manifest_version", "kind", "pixel_layout", "created_at", "dims", "imp_config",
+                 "dataset", "data_sha256", "geometry", "rewind_file", "val_file", "stopped_reason",
+                 "iterations")
 
 
 class _Reader:
@@ -344,7 +352,9 @@ def write_manifest(run_dir, data: dict) -> None:
 
 
 def load_manifest(run_dir) -> dict:
-    """Read manifest.json and verify every referenced file exists."""
+    """Read manifest.json, refuse any shape but this version's (naming the
+    version and the missing or extra keys), and verify every referenced file
+    exists."""
     run_dir = Path(run_dir)
     path = run_dir / "manifest.json"
     if not path.is_file():
@@ -355,11 +365,17 @@ def load_manifest(run_dir) -> dict:
         raise ValueError(f"{path} is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path} must hold a JSON object")
-    referenced = [data[key] for key in ("rewind_file", "val_file") if data.get(key)]
-    for it in data.get("iterations", []):
-        for key in ("mask_file", "params_file", "curve_file"):
-            if it.get(key):
-                referenced.append(it[key])
+    version = data.get("manifest_version", "none")
+    missing = [key for key in MANIFEST_KEYS if key not in data]
+    extra = [key for key in data if key not in MANIFEST_KEYS]
+    if version != MANIFEST_VERSION or missing or extra:
+        keys = "".join(f", {what} keys {', '.join(names)}"
+                       for what, names in (("missing", missing), ("extra", extra)) if names)
+        raise ValueError(f"{path} has manifest_version {version}{keys}; this version reads only "
+                         f"manifest_version {MANIFEST_VERSION}, so start the run in a new directory")
+    referenced = [data["rewind_file"], data["val_file"]]
+    for it in data["iterations"]:
+        referenced += [it["mask_file"], it["params_file"], it["curve_file"]]
     for rel in referenced:  # os.path: a Path per file costs more than its stat
         if not os.path.isfile(os.path.join(run_dir, rel)):
             raise ValueError(f"manifest references missing file {rel}")

@@ -81,8 +81,10 @@ class TrainingDiverged(RuntimeError):
 
 
 def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:
-    """In-place w <- w - lr * g on every trainable array; returns params."""
-    params._flat -= lr * grads._flat  # running-statistic slots of grads are 0
+    """In-place w <- w - lr * g on every trainable array; returns params.
+    grads is overwritten with lr * g (train rewrites it every step)."""
+    np.multiply(grads._flat, lr, out=grads._flat)  # no temporary the size of the network
+    params._flat -= grads._flat  # running-statistic slots of grads are 0
     return params
 
 

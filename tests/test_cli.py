@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import struct
 from dataclasses import asdict, replace
@@ -62,20 +63,6 @@ def config_section(raw, key):
     for name in path:
         raw = raw[name]
     return raw, last
-
-
-def as_earlier_manifest(run_dir, raw_imp):
-    """Rewrite a run's manifest into the shape written before the run
-    configuration was stored normalized: the IMP settings in imp_config,
-    beside run_config with its imp section as the config file gave it, and no
-    data digests."""
-    path = Path(run_dir) / "manifest.json"
-    manifest = json.loads(path.read_text())
-    train = {k: v for k, v in manifest["imp_config"]["train_cfg"].items() if k != "translate_augment"}
-    manifest["run_config"] = {"dataset": manifest.pop("dataset"), "network": {"dims": manifest["dims"]},
-                              "train": train, "imp": raw_imp, "output": {"run_dir": str(run_dir)}}
-    del manifest["data_sha256"]
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 class FailingReplace:
@@ -499,23 +486,6 @@ class TestTrainCommand:
         for rel in ("iters/001/params.tkts", "iters/002/params.tkts", "imp_curve.csv"):
             assert (tmp_path / "trained" / rel).read_bytes() == (tmp_path / "oneshot" / rel).read_bytes()
 
-    def test_imp_refuses_legacy_train_manifest(self, tmp_path, capsys):
-        config = write_config(tmp_path / "c.json", base_config(tmp_path / "run"))
-        assert main(["train", "--config", config]) == 0
-        manifest_path = tmp_path / "run/manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        legacy = {key: manifest[key] for key in (
-            "format_version", "pixel_layout", "created_at", "dims", "geometry", "rewind_file",
-            "iterations")}
-        # as dense runs were once written
-        legacy.update(kind="train", stopped_reason="", run_config=load_run_config(config))
-        manifest_path.write_text(json.dumps(legacy, indent=2) + "\n")
-        before = manifest_path.read_bytes()
-        assert main(["imp", "--config", config]) == 1
-        assert "does not hold a pruning run" in capsys.readouterr().err
-        assert manifest_path.read_bytes() == before
-        assert not (tmp_path / "run/iters/001").exists()
-
     def test_refuses_existing_imp_run(self, tmp_path, capsys):
         raw = base_config(tmp_path / "run")
         raw["imp"]["max_iterations"] = 1
@@ -581,63 +551,6 @@ class TestImpCommand:
         assert manifest["imp_config"] == asdict(imp_settings(cfg)[1])
         assert manifest["imp_config"]["train_cfg"]["translate_augment"] is False
         assert manifest["dataset"] == cfg["dataset"]
-
-    def test_manifest_of_the_earlier_shape_resumes(self, imp_run, tmp_path, capsys):
-        raw = base_config(tmp_path / "run")
-        raw["imp"]["max_iterations"] = 1
-        config = write_config(tmp_path / "a.json", raw)
-        assert main(["imp", "--config", config]) == 0
-        digests = json.loads((tmp_path / "run/manifest.json").read_text())["data_sha256"]
-        as_earlier_manifest(tmp_path / "run", dict(raw["imp"]))
-        raw["imp"]["max_iterations"] = 2
-        assert main(["imp", "--config", write_config(tmp_path / "b.json", raw)]) == 0
-        assert "completed 3 iterations" in capsys.readouterr().out
-        for rel in ("iters/002/masks.tkms", "iters/002/params.tkts", "imp_curve.csv"):
-            assert (tmp_path / "run" / rel).read_bytes() == (imp_run[0] / rel).read_bytes()
-        manifest = json.loads((tmp_path / "run/manifest.json").read_text())
-        assert "run_config" not in manifest
-        assert manifest["imp_config"]["stop_node_fraction"] == 0.8
-        assert manifest["dataset"] == load_run_config(config)["dataset"]
-        assert manifest["data_sha256"] == digests
-
-    def test_manifest_with_run_config_alone_resumes(self, imp_run, tmp_path, capsys):
-        raw = base_config(tmp_path / "run")
-        raw["imp"]["max_iterations"] = 1
-        config = write_config(tmp_path / "a.json", raw)
-        assert main(["imp", "--config", config]) == 0
-        path = tmp_path / "run/manifest.json"
-        oneshot = json.loads(path.read_text())
-        # as CLI runs were recorded before the one settings record
-        manifest = {k: v for k, v in oneshot.items() if k not in ("dataset", "data_sha256")}
-        path.write_text(json.dumps(dict(manifest, imp_config=None, run_config=load_run_config(config))))
-        raw["imp"]["max_iterations"] = 2
-        assert main(["imp", "--config", write_config(tmp_path / "b.json", raw)]) == 0
-        assert "completed 3 iterations" in capsys.readouterr().out
-        for rel in ("iters/002/masks.tkms", "iters/002/params.tkts", "imp_curve.csv"):
-            assert (tmp_path / "run" / rel).read_bytes() == (imp_run[0] / rel).read_bytes()
-        resumed = json.loads(path.read_text())
-        assert "run_config" not in resumed
-        for key in ("dims", "dataset", "data_sha256"):
-            assert resumed[key] == oneshot[key]
-        assert resumed["imp_config"] == dict(oneshot["imp_config"], max_iterations=2)
-
-    def test_earlier_run_on_the_old_rewind_default(self, tmp_path, capsys):
-        raw = base_config(tmp_path / "run")
-        raw["train"].update(steps=1000, eval_every=500)
-        raw["imp"] = {"max_iterations": 0, "prune_fraction": 0.3, "rewind_step": 1000}
-        config = write_config(tmp_path / "a.json", raw)
-        assert main(["imp", "--config", config]) == 0
-        del raw["imp"]["rewind_step"]  # which imp.rewind_step once defaulted to
-        as_earlier_manifest(tmp_path / "run", dict(raw["imp"]))
-        before = (tmp_path / "run/manifest.json").read_bytes()
-        raw["imp"]["max_iterations"] = 1
-        assert main(["imp", "--config", write_config(tmp_path / "b.json", raw)]) == 1
-        assert "different configuration" in capsys.readouterr().err
-        assert (tmp_path / "run/manifest.json").read_bytes() == before
-        assert not (tmp_path / "run/iters/001").exists()
-        raw["imp"]["rewind_step"] = 1000
-        assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 0
-        assert "completed 2 iterations" in capsys.readouterr().out
 
     def test_run_config_must_give_the_run_settings(self, tmp_path):
         cfg = load_run_config(write_config(tmp_path / "c.json", base_config(tmp_path / "run")))
@@ -721,7 +634,7 @@ class TestImpCommand:
         assert "the train split differs" in capsys.readouterr().err
         assert file_digests(tmp_path / "run") == before
 
-    def test_non_square_idx_geometry_recorded(self, tmp_path, rng, capsys):
+    def test_non_square_idx_geometry_recorded(self, tmp_path, rng):
         # 8 x 2 pixels is 16 inputs, which the square rule reads as 4 x 4
         geom = ImageGeometry(8, 2, 1)
         images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
@@ -729,28 +642,14 @@ class TestImpCommand:
         raw = base_config(tmp_path / "run")
         raw["dataset"] = {"format": "idx", "paths": [str(images), str(labels)], "n_val": 16}
         raw["imp"]["max_iterations"] = 1
-        config = write_config(tmp_path / "c.json", raw)
-        assert main(["imp", "--config", config]) == 0
-        manifest_path = tmp_path / "run/manifest.json"
-        manifest = json.loads(manifest_path.read_text())
+        assert main(["imp", "--config", write_config(tmp_path / "c.json", raw)]) == 0
+        manifest = json.loads((tmp_path / "run/manifest.json").read_text())
         assert manifest["geometry"] == {"width": 8, "height": 2, "channels": 1}
         masks = load_masks(tmp_path / "run/iters/001/masks.tkms")
         argv = ["analyze", str(tmp_path / "run"), "locality", "--iteration", "1", "--layer", "1"]
         csv = tmp_path / "run/analysis/iter001_locality_l1_same.csv"
         assert main(argv) == 0
         assert np.array_equal(load_locality_csv(csv), locality_map(masks.masks[0], geom, "same").grid)
-        untouched = csv.read_bytes()
-        # a manifest written before the geometry was recorded is refused until imp reruns
-        shutil.rmtree(tmp_path / "run/analysis")
-        del manifest["geometry"]
-        manifest_path.write_text(json.dumps(manifest))
-        assert main(argv) == 1
-        assert "manifest records no geometry; run imp" in capsys.readouterr().err
-        assert not (tmp_path / "run/analysis").exists()
-        assert main(["imp", "--config", config]) == 0
-        assert json.loads(manifest_path.read_text())["geometry"] == {"width": 8, "height": 2, "channels": 1}
-        assert main(argv) == 0
-        assert csv.read_bytes() == untouched
 
     def test_config_without_imp_section_rejected(self, tmp_path, capsys):
         raw = base_config(tmp_path / "run")
@@ -883,6 +782,54 @@ class TestAnalyzeCommand:
         assert "no iteration 9" in capsys.readouterr().err
 
 
+# a reader of a run directory as a command line (RUN and CONFIG filled in per
+# case), or None for a library run_imp
+RUN_DIR_READERS = {
+    "imp": ["imp", "--config", "CONFIG"],
+    "train": ["train", "--config", "CONFIG"],
+    **{obs: ["analyze", "RUN", obs, "--iteration", "1", "--layer", "2"]
+       for obs in ("conn", "locality", "locality-binned", "effmask", "pixmap", "binomial")},
+    "ablate": ["ablate", "RUN", "--iteration", "1"],
+    "export-masks": ["export-masks", "RUN", "--iteration", "1", "--top", "2"],
+    "run_imp": None,
+}
+
+
+class TestManifestShape:
+    @pytest.mark.parametrize("reshape, fault", [
+        # what the version before manifest_version wrote
+        (lambda m: {"format_version": 1, **{k: v for k, v in m.items() if k != "manifest_version"}},
+         "none, missing keys manifest_version, extra keys format_version"),
+        (lambda m: dict(m, manifest_version=2), "2"),
+        (lambda m: {k: v for k, v in m.items() if k != "geometry"}, "1, missing keys geometry"),
+        (lambda m: dict(m, run_config=None), "1, extra keys run_config"),
+    ], ids=["no-version", "version-2", "key-removed", "run_config-added"])
+    @pytest.mark.parametrize("reader", RUN_DIR_READERS)
+    def test_other_shape_refused_before_any_write(self, imp_run, tmp_path, capsys, reader, reshape,
+                                                  fault):
+        run = tmp_path / "run"
+        shutil.copytree(imp_run[0], run, ignore=shutil.ignore_patterns("analysis"))
+        path = run / "manifest.json"
+        path.write_text(json.dumps(reshape(json.loads(path.read_text())), indent=2) + "\n")
+        raw = base_config(run)
+        raw["imp"]["max_iterations"] = 3  # one more round than the run holds
+        config = write_config(tmp_path / "c.json", raw)
+        before = file_digests(run)
+        message = (rf"{re.escape(str(path))} has manifest_version {fault}; this version reads only "
+                   "manifest_version 1, so start the run in a new directory")
+        if RUN_DIR_READERS[reader] is None:
+            cfg = load_run_config(config)
+            dims, imp_cfg = imp_settings(cfg)
+            with pytest.raises(ValueError, match=message):
+                run_imp(dims, *build_dataset(cfg), imp_cfg, run)
+        else:
+            argv = [{"RUN": str(run), "CONFIG": config}.get(a, a) for a in RUN_DIR_READERS[reader]]
+            assert main(argv) == 1
+            assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+        assert file_digests(run) == before
+        assert not (run / "analysis").exists()
+
+
 class TestOneParserPerProcess:
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
@@ -995,34 +942,6 @@ class TestAblateCommand:
         run_imp(DIMS, ds, ds, ImpConfig(train_cfg=train_cfg, rewind_step=2, max_iterations=1),
                 tmp_path / "run")
         assert main(["ablate", str(tmp_path / "run"), "--iteration", "1"]) == 0
-
-    def test_legacy_manifest_rebuilds_the_same_split(self, tmp_path, capsys):
-        raw = base_config(tmp_path / "run")
-        raw["imp"]["max_iterations"] = 1
-        config = write_config(tmp_path / "c.json", raw)
-        assert main(["imp", "--config", config]) == 0
-        argv = ["ablate", str(tmp_path / "run"), "--iteration", "1", "--counts", "0,2,5,8"]
-        csv = tmp_path / "run/analysis/iter001_ablation.csv"
-        assert main(argv) == 0
-        stored = csv.read_bytes()
-        manifest_path = tmp_path / "run/manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        del manifest["val_file"]  # as runs were written before the split was stored
-        manifest_path.write_text(json.dumps(manifest))
-        (tmp_path / "run/val.tkds").unlink()
-        shutil.rmtree(tmp_path / "run/analysis")
-        assert main(argv) == 1
-        assert "manifest records no val_file; run imp" in capsys.readouterr().err
-        assert not (tmp_path / "run/analysis").exists()
-        # the rerun writes the split the configuration gives
-        assert main(["imp", "--config", config]) == 0
-        assert json.loads(manifest_path.read_text())["val_file"] == "val.tkds"
-        rebuilt, val_ds = load_split(tmp_path / "run/val.tkds"), build_dataset(load_run_config(config))[1]
-        assert rebuilt.geometry == val_ds.geometry and rebuilt.n_classes == val_ds.n_classes
-        assert rebuilt.images.tobytes() == val_ds.images.tobytes()
-        assert np.array_equal(rebuilt.labels, val_ds.labels)
-        assert main(argv) == 0
-        assert csv.read_bytes() == stored
 
     def test_split_not_matching_the_run_rejected(self, tmp_path, rng, capsys):
         raw = base_config(tmp_path / "run")

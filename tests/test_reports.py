@@ -458,29 +458,37 @@ class TestCurveFiles:
         assert lines[2] == "1,0.7,"
 
 
+def complete_manifest(run_dir, **changes):
+    """A manifest with every key load_manifest requires, after writing the
+    files it names (one iteration's) under run_dir; changes replace
+    top-level values."""
+    files = {"rewind_file": "rewind.tkts", "val_file": "val.tkds"}
+    iteration = {"n": 0, "mask_file": "iters/m.tkms", "params_file": "iters/p.tkts",
+                 "curve_file": "iters/c.csv"}
+    (Path(run_dir) / "iters").mkdir()
+    for rel in [*files.values(), *list(iteration.values())[1:]]:
+        (Path(run_dir) / rel).write_bytes(b"x")
+    return {"manifest_version": 1, "kind": "imp", "pixel_layout": "index = c*H*W + y*W + x",
+            "created_at": "2021-01-01T00:00:00+00:00", "dims": [4, 2], "imp_config": {},
+            "dataset": None, "data_sha256": {}, "geometry": {"width": 2, "height": 2, "channels": 1},
+            **files, "stopped_reason": "max_iterations", "iterations": [iteration], **changes}
+
+
 class TestManifest:
     def test_round_trip_and_reference_check(self, tmp_path):
-        (tmp_path / "rewind.tkts").write_bytes(b"x")
-        (tmp_path / "iters").mkdir()
-        (tmp_path / "iters/m.tkms").write_bytes(b"x")
-        data = {
-            "kind": "imp",
-            "rewind_file": "rewind.tkts",
-            "iterations": [{"mask_file": "iters/m.tkms"}],
-        }
+        data = complete_manifest(tmp_path)
         write_manifest(tmp_path, data)
         assert not (tmp_path / "manifest.json.tmp").exists()
         assert load_manifest(tmp_path) == data
 
     def test_missing_referenced_file_rejected(self, tmp_path):
-        write_manifest(tmp_path, {"rewind_file": "gone.tkts", "iterations": []})
-        with pytest.raises(ValueError, match="missing file"):
+        write_manifest(tmp_path, complete_manifest(tmp_path, rewind_file="gone.tkts"))
+        with pytest.raises(ValueError, match="missing file gone.tkts"):
             load_manifest(tmp_path)
 
     def test_missing_split_file_rejected(self, tmp_path):
-        (tmp_path / "rewind.tkts").write_bytes(b"x")
-        write_manifest(tmp_path, {"rewind_file": "rewind.tkts", "val_file": "val.tkds",
-                                  "iterations": []})
+        write_manifest(tmp_path, complete_manifest(tmp_path))
+        (tmp_path / "val.tkds").unlink()
         with pytest.raises(ValueError, match="missing file val.tkds"):
             load_manifest(tmp_path)
 

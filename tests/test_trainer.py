@@ -90,6 +90,16 @@ class TestSgdStep:
         sgd_step(params, scaled_grads(params, 2.0), lr=0.1)
         assert_allclose(params.weights[0][0, 0], 0.8, rtol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_subtracting_the_product(self, dtype):
+        params = init_params([5, 4, 3], seed=0)
+        g = np.random.default_rng(1).standard_normal(params._flat.size).astype(dtype)
+        expected = params._flat.copy()
+        expected -= 0.1 * g
+        sgd_step(params, ParamSet(params.dims, g.copy()), lr=0.1)
+        assert params._flat.dtype == np.float32
+        assert params._flat.tobytes() == expected.tobytes()
+
 
 class TestAdamStep:
     def test_first_step_magnitude(self):
